@@ -34,7 +34,7 @@ runWorkload(platform::EnzianMachine::Config cfg,
             std::uint64_t transfer = 16384, std::uint32_t runs = 100)
 {
     auto m = makeBenchMachine(cfg);
-    return measureThroughputGiB(m->eventq(), transfer, runs, 4,
+    return measureThroughputGiB(*m, transfer, runs, 4,
                                 eciTransfer(*m, true));
 }
 

@@ -17,14 +17,17 @@ using namespace enzian::bench;
 
 namespace {
 
-/** FPGA-local DRAM transfer (the "Enzian DRAM" point). */
+/**
+ * FPGA-local DRAM transfer (the "Enzian DRAM" point). It runs on the
+ * FPGA's queue, which owns the FPGA DRAM in domain mode.
+ */
 TransferFn
 fpgaDramTransfer(platform::EnzianMachine &m)
 {
     return [&m](std::uint64_t bytes, std::function<void(Tick)> done) {
-        const Tick ready =
-            m.fpgaMem().dram().access(m.eventq().now(), bytes);
-        m.eventq().schedule(ready, [done = std::move(done), ready]() {
+        EventQueue &eq = m.fpgaEventq();
+        const Tick ready = m.fpgaMem().dram().access(eq.now(), bytes);
+        eq.schedule(ready, [done = std::move(done), ready]() {
             done(ready);
         });
     };
@@ -61,10 +64,10 @@ main()
         cfg.policy = eci::BalancePolicy::SingleLink;
         auto m = makeBenchMachine(cfg);
         const double lat =
-            measureLatencyUs(m->eventq(), 128, eciTransfer(*m, false));
+            measureLatencyUs(*m, 128, eciTransfer(*m, false));
         auto m2 = makeBenchMachine(cfg);
         const double bw = measureThroughputGiB(
-            m2->eventq(), 16384, 300, 8, eciTransfer(*m2, true));
+            *m2, 16384, 300, 8, eciTransfer(*m2, true));
         row(rep, "enzian_1link", "Enzian (1 ECI link)", lat, bw,
             false);
     }
@@ -74,10 +77,10 @@ main()
         cfg.policy = eci::BalancePolicy::LeastLoaded;
         auto m = makeBenchMachine(cfg);
         const double lat =
-            measureLatencyUs(m->eventq(), 128, eciTransfer(*m, false));
+            measureLatencyUs(*m, 128, eciTransfer(*m, false));
         auto m2 = makeBenchMachine(cfg);
         const double bw = measureThroughputGiB(
-            m2->eventq(), 16384, 300, 8, eciTransfer(*m2, true));
+            *m2, 16384, 300, 8, eciTransfer(*m2, true));
         row(rep, "enzian_full_eci", "Enzian (full ECI)", lat, bw,
             false);
     }
@@ -85,10 +88,10 @@ main()
     {
         auto m = makeBenchMachine(platform::enzianDefaultConfig());
         const double lat =
-            measureLatencyUs(m->eventq(), 128, fpgaDramTransfer(*m));
+            measureLatencyUs(*m, 128, fpgaDramTransfer(*m));
         auto m2 = makeBenchMachine(platform::enzianDefaultConfig());
         const double bw = measureThroughputGiB(
-            m2->eventq(), 1 << 20, 100, 4, fpgaDramTransfer(*m2));
+            *m2, 1 << 20, 100, 4, fpgaDramTransfer(*m2));
         row(rep, "enzian_dram", "Enzian DRAM", lat, bw, false);
     }
     // Measured PCIe card for scale (Alveo u250, Gen3 x16).

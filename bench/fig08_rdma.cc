@@ -49,7 +49,9 @@ struct Rig
         if (kind == "enzian-dram" || kind == "enzian-host") {
             auto cfg = platform::enzianDefaultConfig();
             machine = makeBenchMachine(cfg);
-            eq = &machine->eventq();
+            // The switch, NICs and both target paths sit on the FPGA
+            // side, so they share its queue in domain mode.
+            eq = &machine->fpgaEventq();
             if (kind == "enzian-dram")
                 path = std::make_unique<DirectDramPath>(
                     machine->fpgaMem());
@@ -93,6 +95,24 @@ struct Rig
                 init->read(off, buf.data(), bytes, std::move(done));
         };
     }
+
+    /** Latency of one transfer (us); a machine runs all its domains. */
+    double
+    latencyUs(std::uint64_t bytes, bool write)
+    {
+        return machine ? measureLatencyUs(*machine, bytes, transfer(write))
+                       : measureLatencyUs(*eq, bytes, transfer(write));
+    }
+
+    /** Throughput of @p runs transfers, 8 in flight (GiB/s). */
+    double
+    throughputGiB(std::uint64_t bytes, std::uint32_t runs, bool write)
+    {
+        return machine ? measureThroughputGiB(*machine, bytes, runs, 8,
+                                              transfer(write))
+                       : measureThroughputGiB(*eq, bytes, runs, 8,
+                                              transfer(write));
+    }
 };
 
 } // namespace
@@ -116,12 +136,9 @@ main()
                         static_cast<unsigned long long>(size));
             for (const char *k : kinds) {
                 Rig lat_rig(k);
-                const double lat = measureLatencyUs(
-                    *lat_rig.eq, size, lat_rig.transfer(write));
+                const double lat = lat_rig.latencyUs(size, write);
                 Rig thr_rig(k);
-                const double thr = measureThroughputGiB(
-                    *thr_rig.eq, size, 150, 8,
-                    thr_rig.transfer(write));
+                const double thr = thr_rig.throughputGiB(size, 150, write);
                 std::printf(" %14.2f %15.2f", lat, thr);
                 std::string key = format(
                     "%s_%s_%lluB", k, write ? "write" : "read",

@@ -5,6 +5,7 @@
 
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -24,7 +25,7 @@ Cache::Cache(std::string name, EventQueue &eq, const Config &cfg)
     if (!std::has_single_bit(sets_))
         fatal("cache '%s': set count %u not a power of two",
               SimObject::name().c_str(), sets_);
-    frames_.resize(static_cast<std::size_t>(sets_) * cfg_.ways);
+    frames_.resize(sets_);
     if (cfg_.policy != ReplPolicy::Lru) {
         WayAllocator::Config acfg;
         acfg.ways = cfg_.ways;
@@ -53,13 +54,13 @@ Cache::tagOf(Addr addr) const
 const LineFrame *
 Cache::find(Addr addr) const
 {
+    const LineFrame *set = frames_[setIndex(addr)].get();
+    if (!set)
+        return nullptr;
     const std::uint64_t tag = tagOf(addr);
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(addr)) * cfg_.ways;
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        const LineFrame &f = frames_[base + w];
-        if (f.valid() && f.tag == tag)
-            return &f;
+        if (set[w].valid() && set[w].tag == tag)
+            return &set[w];
     }
     return nullptr;
 }
@@ -102,7 +103,7 @@ Cache::fill(Addr addr, MoesiState state, const std::uint8_t *data,
     if (LineFrame *f = find(addr)) {
         f->state = state;
         if (data)
-            f->data.assign(data, data + lineSize);
+            std::memcpy(f->data.data(), data, lineSize);
         f->lastUse = ++useClock_;
         return std::nullopt;
     }
@@ -110,13 +111,14 @@ Cache::fill(Addr addr, MoesiState state, const std::uint8_t *data,
     if (alloc_)
         alloc_->recordMiss(owner);
 
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(addr)) * cfg_.ways;
+    std::unique_ptr<LineFrame[]> &set = frames_[setIndex(addr)];
+    if (!set)
+        set = std::make_unique<LineFrame[]>(cfg_.ways);
     LineFrame *victim = nullptr;
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if (alloc_ && !alloc_->mayAllocate(owner, w))
             continue;
-        LineFrame &f = frames_[base + w];
+        LineFrame &f = set[w];
         if (!f.valid()) {
             victim = &f;
             break;
@@ -132,29 +134,27 @@ Cache::fill(Addr addr, MoesiState state, const std::uint8_t *data,
         const std::uint64_t victim_line =
             victim->tag * sets_ + setIndex(addr);
         evicted = Eviction{victim_line * lineSize, victim->state,
-                           std::move(victim->data)};
+                           victim->data};
     }
 
     victim->tag = tagOf(addr);
     victim->state = state;
     victim->lastUse = ++useClock_;
     if (data)
-        victim->data.assign(data, data + lineSize);
+        std::memcpy(victim->data.data(), data, lineSize);
     else
-        victim->data.assign(lineSize, 0);
+        victim->data.fill(0);
     return evicted;
 }
 
 bool
 Cache::hasFreeFrame(Addr addr, std::uint32_t owner) const
 {
-    addr = lineAlign(addr);
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(addr)) * cfg_.ways;
+    const LineFrame *set = frames_[setIndex(lineAlign(addr))].get();
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if (alloc_ && !alloc_->mayAllocate(owner, w))
             continue;
-        if (!frames_[base + w].valid())
+        if (!set || !set[w].valid())
             return true;
     }
     return false;
@@ -166,12 +166,7 @@ Cache::setState(Addr addr, MoesiState state)
     LineFrame *f = find(lineAlign(addr));
     ENZIAN_ASSERT(f, "setState on non-resident line %llx",
                   static_cast<unsigned long long>(addr));
-    if (state == MoesiState::Invalid) {
-        f->state = MoesiState::Invalid;
-        f->data.clear();
-    } else {
-        f->state = state;
-    }
+    f->state = state;
 }
 
 std::optional<Eviction>
@@ -185,7 +180,6 @@ Cache::invalidate(Addr addr)
     if (isDirty(f->state))
         out = Eviction{addr, f->state, f->data};
     f->state = MoesiState::Invalid;
-    f->data.clear();
     return out;
 }
 
@@ -216,13 +210,22 @@ Cache::forEachLine(
     const std::function<void(Addr, const LineFrame &)> &fn) const
 {
     for (std::uint32_t s = 0; s < sets_; ++s) {
+        const LineFrame *set = frames_[s].get();
+        if (!set)
+            continue;
         for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-            const LineFrame &f =
-                frames_[static_cast<std::size_t>(s) * cfg_.ways + w];
-            if (f.valid())
-                fn((f.tag * sets_ + s) * lineSize, f);
+            if (set[w].valid())
+                fn((set[w].tag * sets_ + s) * lineSize, set[w]);
         }
     }
+}
+
+std::uint32_t
+Cache::allocatedSets() const
+{
+    return static_cast<std::uint32_t>(
+        std::count_if(frames_.begin(), frames_.end(),
+                      [](const auto &set) { return set != nullptr; }));
 }
 
 } // namespace enzian::cache

@@ -6,11 +6,16 @@
  * (optional) line cache on the FPGA node. The cache is a state +
  * data container; the protocol engines (eci::HomeAgent /
  * eci::RemoteAgent) drive its transitions.
+ *
+ * Storage follows the simulated footprint, not the modelled capacity:
+ * each set's frames are allocated on its first fill, so a 16 MiB L2
+ * that saw a few hundred lines costs a few hundred frame blocks.
  */
 
 #ifndef ENZIAN_CACHE_CACHE_HH
 #define ENZIAN_CACHE_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -24,13 +29,19 @@
 
 namespace enzian::cache {
 
-/** One line frame: tag, state, data, LRU bookkeeping. */
+/** The bytes of one cache line, stored inline. */
+using LineData = std::array<std::uint8_t, lineSize>;
+
+/**
+ * One line frame: tag, state, data, LRU bookkeeping. `state` alone
+ * decides validity; an Invalid frame's data is stale and never read.
+ */
 struct LineFrame
 {
     std::uint64_t tag = 0;
     MoesiState state = MoesiState::Invalid;
     std::uint64_t lastUse = 0;
-    std::vector<std::uint8_t> data;
+    LineData data;
 
     bool valid() const { return state != MoesiState::Invalid; }
 };
@@ -40,7 +51,7 @@ struct Eviction
 {
     std::uint64_t addr;
     MoesiState state;
-    std::vector<std::uint8_t> data;
+    LineData data;
 };
 
 /** Set-associative MOESI cache. */
@@ -110,6 +121,12 @@ class Cache : public SimObject
     std::uint32_t sets() const { return sets_; }
     std::uint32_t ways() const { return cfg_.ways; }
 
+    /**
+     * Sets whose frames have been allocated (by a first fill). A
+     * host-side footprint, deliberately not a registry stat.
+     */
+    std::uint32_t allocatedSets() const;
+
     /** The way allocator, or nullptr under plain LRU. */
     const WayAllocator *allocator() const { return alloc_.get(); }
 
@@ -126,7 +143,9 @@ class Cache : public SimObject
     Config cfg_;
     std::uint32_t sets_;
     std::uint64_t useClock_ = 0;
-    std::vector<LineFrame> frames_; // sets_ x ways, row-major
+    /** Per set, `ways` frames allocated on the set's first fill; a
+     *  null set reads as all-Invalid. */
+    std::vector<std::unique_ptr<LineFrame[]>> frames_;
     std::unique_ptr<WayAllocator> alloc_; // null under plain LRU
     Counter hits_;
     Counter misses_;

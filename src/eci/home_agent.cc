@@ -317,7 +317,7 @@ HomeAgent::serveRead(const EciMsg &msg, bool exclusive, bool allocate)
             auto ev = localCache_->invalidate(line);
             if (ev && step.flushLocalDirty) {
                 local_flush = true;
-                flush_data = std::move(ev->data);
+                flush_data.assign(ev->data.begin(), ev->data.end());
             }
             break;
           }

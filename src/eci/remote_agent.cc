@@ -357,7 +357,7 @@ RemoteAgent::sendIpi(std::uint32_t vector)
 }
 
 void
-RemoteAgent::handleEviction(cache::Eviction ev)
+RemoteAgent::handleEviction(const cache::Eviction &ev)
 {
     if (map_.homeOf(ev.addr) != peer_)
         return; // locally-homed victims are the home agent's business
@@ -453,7 +453,7 @@ RemoteAgent::completeFill(std::uint32_t tid, const EciMsg &msg)
             if (txn.invalAfterFill)
                 cache_->invalidate(txn.line);
             if (ev)
-                handleEviction(std::move(*ev));
+                handleEviction(*ev);
         }
         if (txn.out)
             std::memcpy(txn.out, msg.line.data(), cache::lineSize);
@@ -467,10 +467,10 @@ RemoteAgent::completeFill(std::uint32_t tid, const EciMsg &msg)
             // The snoop ordered ahead of our write; push the data home.
             auto dirty = cache_->invalidate(txn.line);
             if (dirty)
-                handleEviction(std::move(*dirty));
+                handleEviction(*dirty);
         }
         if (ev)
-            handleEviction(std::move(*ev));
+            handleEviction(*ev);
         break;
       }
       case Kind::UncachedRead:
@@ -569,7 +569,7 @@ RemoteAgent::handle(const EciMsg &msg)
                                        txn.data.data(),
                                        cache::ownerRemote);
                 if (ev)
-                    handleEviction(std::move(*ev));
+                    handleEviction(*ev);
             } else {
                 cache_->access(txn.line);
                 cache_->writeData(txn.line, txn.data.data(),

@@ -191,7 +191,7 @@ class RemoteAgent : public SimObject
     void completeFill(std::uint32_t tid, const EciMsg &msg);
     void handleSnoop(const EciMsg &msg);
     /** Dispose of a victim line evicted by a fill. */
-    void handleEviction(cache::Eviction ev);
+    void handleEviction(const cache::Eviction &ev);
 
     mem::NodeId node_;
     mem::NodeId peer_;

@@ -330,5 +330,101 @@ TEST(LlcPolicy, CacheUnderAdaptivePolicyRepartitions)
     EXPECT_GE(c.allocator()->rebalances(), 1u);
 }
 
+// ---------------------------------------------------------------------
+// Lazily allocated sets: frames exist only for sets a fill touched.
+// ---------------------------------------------------------------------
+
+TEST(CacheLazySets, FreshCacheMissesAtFirstAndLastSet)
+{
+    EventQueue eq;
+    Cache c("l2", eq, Cache::Config{}); // 16 MiB, 8192 sets
+    std::size_t visited = 0;
+    c.forEachLine([&](Addr, const LineFrame &) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+    const Addr last = Addr{c.sets() - 1} * lineSize;
+    for (const Addr a : {Addr{0}, last}) {
+        EXPECT_EQ(c.probe(a), MoesiState::Invalid);
+        EXPECT_EQ(c.access(a), nullptr);
+    }
+    EXPECT_EQ(c.misses(), 2u);
+    EXPECT_EQ(c.allocatedSets(), 0u);
+}
+
+TEST(CacheLazySets, UntouchedSetHasFreeFrameForEveryOwner)
+{
+    for (const ReplPolicy policy : {ReplPolicy::Lru, ReplPolicy::WayPartition,
+                                    ReplPolicy::Adaptive}) {
+        EventQueue eq;
+        Cache::Config cfg = smallConfig();
+        cfg.policy = policy;
+        Cache c("l2", eq, cfg);
+        for (const std::uint32_t owner : {ownerLocal, ownerRemote}) {
+            EXPECT_TRUE(c.hasFreeFrame(0x1000, owner))
+                << toString(policy) << " owner " << owner;
+        }
+        EXPECT_EQ(c.allocatedSets(), 0u);
+    }
+}
+
+TEST(CacheLazySets, EvictionKeepsVictimBytesOfTheReusedFrame)
+{
+    EventQueue eq;
+    Cache c("l2", eq, smallConfig()); // 8 sets x 4 ways
+    const Addr stride = c.sets() * lineSize;
+    for (Addr i = 0; i < c.ways(); ++i) {
+        c.fill(i * stride, MoesiState::Modified,
+               pattern(static_cast<std::uint8_t>(10 + i)).data());
+    }
+    // Line 0 is the LRU victim; the same call writes the new line's
+    // bytes into the frame it vacated.
+    const Addr fresh_line = c.ways() * stride;
+    const auto fresh = pattern(200);
+    auto ev = c.fill(fresh_line, MoesiState::Modified, fresh.data());
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->addr, 0u);
+    EXPECT_EQ(std::memcmp(ev->data.data(), pattern(10).data(), lineSize),
+              0);
+    std::uint8_t back[lineSize];
+    c.readData(fresh_line, back, lineSize);
+    EXPECT_EQ(std::memcmp(back, fresh.data(), lineSize), 0);
+}
+
+TEST(CacheLazySets, RefillAfterInvalidateReadsNewBytes)
+{
+    EventQueue eq;
+    Cache c("l2", eq, smallConfig());
+    std::uint8_t back[lineSize];
+
+    c.fill(0x600, MoesiState::Modified, pattern(1).data());
+    ASSERT_TRUE(c.invalidate(0x600).has_value());
+    const auto fresh = pattern(77);
+    c.fill(0x600, MoesiState::Shared, fresh.data());
+    c.readData(0x600, back, lineSize);
+    EXPECT_EQ(std::memcmp(back, fresh.data(), lineSize), 0);
+
+    // Invalid frames keep stale bytes; a data-less fill zeroes them.
+    c.setState(0x600, MoesiState::Invalid);
+    c.fill(0x600, MoesiState::Exclusive, nullptr);
+    c.readData(0x600, back, lineSize);
+    const std::uint8_t zeros[lineSize] = {};
+    EXPECT_EQ(std::memcmp(back, zeros, lineSize), 0);
+}
+
+TEST(CacheLazySets, ForEachLineRebuildsAddressesInFirstAndLastSet)
+{
+    EventQueue eq;
+    Cache c("l2", eq, Cache::Config{});
+    const Addr stride = Addr{c.sets()} * lineSize; // one way's span
+    const Addr last_set = stride - lineSize;
+    const std::set<Addr> lines{0, 5 * stride, last_set,
+                               3 * stride + last_set};
+    for (const Addr a : lines)
+        c.fill(a, MoesiState::Shared, pattern(1).data());
+    EXPECT_EQ(c.allocatedSets(), 2u);
+    std::set<Addr> seen;
+    c.forEachLine([&](Addr a, const LineFrame &) { seen.insert(a); });
+    EXPECT_EQ(seen, lines);
+}
+
 } // namespace
 } // namespace enzian::cache

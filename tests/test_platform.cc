@@ -8,6 +8,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "mem/address_map.hh"
 #include "platform/boot_sequencer.hh"
 #include "platform/link_models.hh"
 #include "platform/platform_factory.hh"
@@ -57,6 +58,37 @@ TEST(Machine, BitstreamReload)
     EnzianMachine m(cfg);
     m.loadBitstream("coyote-shell");
     EXPECT_NEAR(m.fpga().clock().frequencyHz(), 250e6, 1.0);
+}
+
+TEST(Machine, L2SetsFollowTraffic)
+{
+    EnzianMachine::Config cfg = enzianDefaultConfig();
+    cfg.cpu_dram_bytes = 16ull << 20;
+    cfg.fpga_dram_bytes = 16ull << 20;
+    EnzianMachine m(cfg);
+    constexpr std::uint32_t n = 64;
+    std::uint32_t done = 0;
+    auto count = [&done](Tick) { ++done; };
+
+    // FPGA reads of CPU-homed lines only probe the L2.
+    for (std::uint32_t i = 0; i < n; ++i) {
+        m.fpgaRemote().readLineUncached(Addr{i} * cache::lineSize,
+                                        nullptr, count);
+    }
+    m.run();
+    ASSERT_EQ(done, n);
+    EXPECT_LE(m.l2().allocatedSets(), n);
+
+    // CPU reads of distinct FPGA-homed lines fill one set each.
+    for (std::uint32_t i = 0; i < n; ++i) {
+        m.cpuRemote().readLine(
+            mem::AddressMap::fpgaDramBase + Addr{i} * cache::lineSize,
+            nullptr, count);
+    }
+    m.run();
+    ASSERT_EQ(done, 2 * n);
+    EXPECT_GE(m.l2().allocatedSets(), n);
+    EXPECT_LE(m.l2().allocatedSets(), 2 * n);
 }
 
 TEST(Factory, PcieAcceleratorPresets)
