@@ -111,6 +111,14 @@ struct Fig9Case
     double expect_mtps;
 };
 
+// Without this, gtest prints the raw bytes of the platform pointer, so
+// the discovered test names would change with every address layout.
+void
+PrintTo(const Fig9Case &c, std::ostream *os)
+{
+    *os << c.platform << "_x" << c.engines;
+}
+
 class Fig9Calibration : public ::testing::TestWithParam<Fig9Case>
 {
 };
