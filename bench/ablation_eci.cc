@@ -1,10 +1,9 @@
 /**
  * @file
- * Ablation bench for the ECI design choices DESIGN.md calls out,
- * built on google-benchmark. Each benchmark runs a fixed simulated
- * workload; the reported counter `sim_GiBps` is the *simulated*
- * throughput achieved under that configuration (wall time measures
- * simulator speed and is incidental).
+ * Ablation bench for the ECI design choices DESIGN.md calls out. Each
+ * configuration runs a fixed simulated workload once and reports the
+ * *simulated* throughput it achieved (sim GiB/s; simulator wall time
+ * is incidental).
  *
  *  - link balancing policy (single / round-robin / hash / adaptive)
  *  - lane count (the BDK's 4-lane bring-up vs the full 12 per link)
@@ -12,22 +11,12 @@
  *  - FPGA fabric clock (200 vs 300 MHz protocol-engine latency)
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hh"
 
 using namespace enzian;
 using namespace enzian::bench;
 
 namespace {
-
-/** Shared report; each benchmark adds its simulated-throughput point. */
-BenchReport &
-report()
-{
-    static BenchReport rep("ablation_eci");
-    return rep;
-}
 
 double
 runWorkload(platform::EnzianMachine::Config cfg,
@@ -38,95 +27,52 @@ runWorkload(platform::EnzianMachine::Config cfg,
                                 eciTransfer(*m, true));
 }
 
+/** Print and record one configuration's simulated throughput. */
 void
-BM_BalancePolicy(benchmark::State &state)
+point(BenchReport &rep, const std::string &metric, double gib)
 {
-    const auto policy =
-        static_cast<eci::BalancePolicy>(state.range(0));
-    double gib = 0;
-    for (auto _ : state) {
-        auto cfg = platform::enzianDefaultConfig();
-        cfg.policy = policy;
-        gib = runWorkload(cfg);
-        benchmark::DoNotOptimize(gib);
-    }
-    state.counters["sim_GiBps"] = gib;
-    state.SetLabel(toString(policy));
-    report().add(format("balance_%s_gibps", toString(policy)), gib);
+    std::printf("%-28s %10.3f\n", metric.c_str(), gib);
+    rep.add(metric, gib);
 }
-
-void
-BM_LaneCount(benchmark::State &state)
-{
-    double gib = 0;
-    for (auto _ : state) {
-        auto cfg = platform::enzianDefaultConfig();
-        cfg.link.lanes = static_cast<std::uint32_t>(state.range(0));
-        cfg.policy = eci::BalancePolicy::SingleLink;
-        gib = runWorkload(cfg);
-        benchmark::DoNotOptimize(gib);
-    }
-    state.counters["sim_GiBps"] = gib;
-    report().add(format("lanes_%lld_gibps",
-                        static_cast<long long>(state.range(0))),
-                 gib);
-}
-
-void
-BM_MshrDepth(benchmark::State &state)
-{
-    double gib = 0;
-    for (auto _ : state) {
-        auto cfg = platform::enzianDefaultConfig();
-        cfg.remote_agent.max_outstanding =
-            static_cast<std::uint32_t>(state.range(0));
-        cfg.policy = eci::BalancePolicy::SingleLink;
-        gib = runWorkload(cfg);
-        benchmark::DoNotOptimize(gib);
-    }
-    state.counters["sim_GiBps"] = gib;
-    report().add(format("mshr_%lld_gibps",
-                        static_cast<long long>(state.range(0))),
-                 gib);
-}
-
-void
-BM_FabricClock(benchmark::State &state)
-{
-    // The FPGA protocol engine latency scales with the fabric clock;
-    // model a 200 MHz image as 1.5x the 300 MHz engine latency.
-    const double mhz = static_cast<double>(state.range(0));
-    double gib = 0;
-    for (auto _ : state) {
-        auto cfg = platform::enzianDefaultConfig();
-        cfg.link.fpga_proc_ns =
-            platform::params::eciFpgaProcNs * (300.0 / mhz);
-        cfg.policy = eci::BalancePolicy::SingleLink;
-        gib = runWorkload(cfg, 128, 400);
-        benchmark::DoNotOptimize(gib);
-    }
-    state.counters["sim_GiBps"] = gib;
-    report().add(format("fabric_%lldmhz_gibps",
-                        static_cast<long long>(state.range(0))),
-                 gib);
-}
-
-BENCHMARK(BM_BalancePolicy)->DenseRange(0, 3)->Iterations(1);
-BENCHMARK(BM_LaneCount)->Arg(4)->Arg(8)->Arg(12)->Iterations(1);
-BENCHMARK(BM_MshrDepth)->Arg(1)->Arg(4)->Arg(16)->Arg(32)->Arg(64)
-    ->Iterations(1);
-BENCHMARK(BM_FabricClock)->Arg(200)->Arg(250)->Arg(300)->Iterations(1);
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    report().write();
+    header("ECI ablation: simulated throughput per configuration");
+    BenchReport rep("ablation_eci");
+    std::printf("%-28s %10s\n", "metric", "sim_GiB/s");
+
+    for (int p = 0; p <= 3; ++p) {
+        const auto policy = static_cast<eci::BalancePolicy>(p);
+        auto cfg = platform::enzianDefaultConfig();
+        cfg.policy = policy;
+        point(rep, format("balance_%s_gibps", toString(policy)),
+              runWorkload(cfg));
+    }
+    for (std::uint32_t lanes : {4u, 8u, 12u}) {
+        auto cfg = platform::enzianDefaultConfig();
+        cfg.link.lanes = lanes;
+        cfg.policy = eci::BalancePolicy::SingleLink;
+        point(rep, format("lanes_%u_gibps", lanes), runWorkload(cfg));
+    }
+    for (std::uint32_t depth : {1u, 4u, 16u, 32u, 64u}) {
+        auto cfg = platform::enzianDefaultConfig();
+        cfg.remote_agent.max_outstanding = depth;
+        cfg.policy = eci::BalancePolicy::SingleLink;
+        point(rep, format("mshr_%u_gibps", depth), runWorkload(cfg));
+    }
+    for (std::uint32_t mhz : {200u, 250u, 300u}) {
+        // The FPGA protocol engine latency scales with the fabric
+        // clock; model a 200 MHz image as 1.5x the 300 MHz engine
+        // latency.
+        auto cfg = platform::enzianDefaultConfig();
+        cfg.link.fpga_proc_ns =
+            platform::params::eciFpgaProcNs * (300.0 / mhz);
+        cfg.policy = eci::BalancePolicy::SingleLink;
+        point(rep, format("fabric_%umhz_gibps", mhz),
+              runWorkload(cfg, 128, 400));
+    }
     return 0;
 }

@@ -23,31 +23,7 @@ namespace {
 
 constexpr std::uint32_t wireHeaderBytes = 48;
 
-std::uint32_t g_next_id = 1;
-std::unordered_map<std::uint32_t, KvStoreServer::WireRequest>
-    g_requests;
-std::unordered_map<std::uint32_t, KvStoreServer::WireResponse>
-    g_responses;
-
 } // namespace
-
-std::uint32_t
-KvStoreServer::registerRequest(WireRequest req)
-{
-    const std::uint32_t id = g_next_id++;
-    g_requests.emplace(id, std::move(req));
-    return id;
-}
-
-KvStoreServer::WireResponse
-KvStoreServer::takeResponse(std::uint32_t id)
-{
-    auto it = g_responses.find(id);
-    ENZIAN_ASSERT(it != g_responses.end(), "no KV response %u", id);
-    auto out = std::move(it->second);
-    g_responses.erase(it);
-    return out;
-}
 
 KvStoreServer::KvStoreServer(std::string name, EventQueue &eq,
                              net::Switch &sw,
@@ -62,12 +38,14 @@ KvStoreServer::KvStoreServer(std::string name, EventQueue &eq,
         mem_.store().size())
         fatal("KV store '%s': table does not fit in FPGA DRAM",
               SimObject::name().c_str());
-    sw_.setEndpoint(cfg_.port,
-                    [this](Tick when, std::uint64_t payload,
-                           std::uint64_t tag) {
-                        onFrame(when, payload,
-                                net::Switch::userOf(tag));
-                    });
+    sw_.setEndpoint(cfg_.port, [this](Tick, net::Frame &&frame) {
+        eventq().scheduleDelta(
+            units::ns(cfg_.request_proc_ns),
+            [this, body = std::move(frame.body)]() mutable {
+                serve(std::move(body.get<WireRequest>()));
+            },
+            "kv-serve");
+    });
     stats().addCounter("gets", &gets_);
     stats().addCounter("puts", &puts_);
     stats().addCounter("hits", &hits_);
@@ -214,22 +192,11 @@ KvStoreServer::erase(std::uint64_t key)
 }
 
 void
-KvStoreServer::onFrame(Tick, std::uint64_t, std::uint64_t user)
+KvStoreServer::serve(WireRequest &&req)
 {
-    const auto id = static_cast<std::uint32_t>(user);
-    eventq().scheduleDelta(units::ns(cfg_.request_proc_ns),
-                           [this, id]() { serve(id); }, "kv-serve");
-}
-
-void
-KvStoreServer::serve(std::uint32_t id)
-{
-    auto it = g_requests.find(id);
-    ENZIAN_ASSERT(it != g_requests.end(), "unknown KV request %u", id);
-    WireRequest req = std::move(it->second);
-    g_requests.erase(it);
-
-    WireResponse rsp;
+    net::Payload body;
+    WireResponse &rsp = body.emplace<WireResponse>();
+    rsp.id = req.id;
     using Op = WireRequest::Op;
     switch (req.op) {
       case Op::Get: {
@@ -247,15 +214,14 @@ KvStoreServer::serve(std::uint32_t id)
         rsp.ok = erase(req.key);
         break;
     }
-    const std::uint64_t wire = wireHeaderBytes + rsp.value.size();
-    const std::uint32_t src = req.srcPort;
-    g_responses[id] = std::move(rsp);
     // Respond once the DRAM probes of this operation complete.
     eventq().schedule(
         std::max(lastDramDone_, now()),
-        [this, id, src, wire]() {
-            sw_.sendFrom(cfg_.port, wire,
-                         net::Switch::makeTag(src, id));
+        [this, dst = req.srcPort, body = std::move(body)]() mutable {
+            const std::uint64_t bytes =
+                wireHeaderBytes + body.get<WireResponse>().value.size();
+            sw_.sendFrom(cfg_.port,
+                         net::Frame{bytes, dst, std::move(body)});
         },
         "kv-respond");
 }
@@ -265,12 +231,19 @@ KvClient::KvClient(std::string name, EventQueue &eq, net::Switch &sw,
     : SimObject(std::move(name), eq), sw_(sw), port_(port),
       serverPort_(server_port)
 {
-    sw_.setEndpoint(port_,
-                    [this](Tick when, std::uint64_t payload,
-                           std::uint64_t tag) {
-                        onFrame(when, payload,
-                                net::Switch::userOf(tag));
-                    });
+    sw_.setEndpoint(port_, [this](Tick when, net::Frame &&frame) {
+        onFrame(when, std::move(frame));
+    });
+}
+
+void
+KvClient::issue(KvStoreServer::WireRequest req, std::uint64_t bytes,
+                Pending p)
+{
+    req.id = nextId_++;
+    req.srcPort = port_;
+    pending_[req.id] = std::move(p);
+    sw_.sendFrom(port_, net::makeFrame(bytes, serverPort_, std::move(req)));
 }
 
 void
@@ -279,13 +252,7 @@ KvClient::get(std::uint64_t key, GetDone done)
     KvStoreServer::WireRequest req;
     req.op = KvStoreServer::WireRequest::Op::Get;
     req.key = key;
-    req.srcPort = port_;
-    const auto id = KvStoreServer::registerRequest(std::move(req));
-    Pending p;
-    p.get_done = std::move(done);
-    pending_[id] = std::move(p);
-    sw_.sendFrom(port_, wireHeaderBytes,
-                 net::Switch::makeTag(serverPort_, id));
+    issue(std::move(req), wireHeaderBytes, Pending{std::move(done), {}});
 }
 
 void
@@ -296,13 +263,8 @@ KvClient::put(std::uint64_t key, const std::uint8_t *value,
     req.op = KvStoreServer::WireRequest::Op::Put;
     req.key = key;
     req.value.assign(value, value + len);
-    req.srcPort = port_;
-    const auto id = KvStoreServer::registerRequest(std::move(req));
-    Pending p;
-    p.ack_done = std::move(done);
-    pending_[id] = std::move(p);
-    sw_.sendFrom(port_, wireHeaderBytes + len,
-                 net::Switch::makeTag(serverPort_, id));
+    issue(std::move(req), wireHeaderBytes + len,
+          Pending{{}, std::move(done)});
 }
 
 void
@@ -311,25 +273,18 @@ KvClient::erase(std::uint64_t key, AckDone done)
     KvStoreServer::WireRequest req;
     req.op = KvStoreServer::WireRequest::Op::Del;
     req.key = key;
-    req.srcPort = port_;
-    const auto id = KvStoreServer::registerRequest(std::move(req));
-    Pending p;
-    p.ack_done = std::move(done);
-    pending_[id] = std::move(p);
-    sw_.sendFrom(port_, wireHeaderBytes,
-                 net::Switch::makeTag(serverPort_, id));
+    issue(std::move(req), wireHeaderBytes, Pending{{}, std::move(done)});
 }
 
 void
-KvClient::onFrame(Tick when, std::uint64_t, std::uint64_t user)
+KvClient::onFrame(Tick when, net::Frame &&frame)
 {
-    const auto id = static_cast<std::uint32_t>(user);
-    auto it = pending_.find(id);
-    ENZIAN_ASSERT(it != pending_.end(), "KV completion for unknown %u",
-                  id);
+    auto &rsp = frame.body.get<KvStoreServer::WireResponse>();
+    auto it = pending_.find(rsp.id);
+    ENZIAN_ASSERT(it != pending_.end(), "KV completion for unknown %llu",
+                  static_cast<unsigned long long>(rsp.id));
     Pending p = std::move(it->second);
     pending_.erase(it);
-    auto rsp = KvStoreServer::takeResponse(id);
     if (p.get_done)
         p.get_done(when, rsp.ok, std::move(rsp.value));
     else if (p.ack_done)

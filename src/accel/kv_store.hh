@@ -75,7 +75,7 @@ class KvStoreServer : public SimObject
 
     const Config &config() const { return cfg_; }
 
-    /** @internal wire request registry (shared with clients). */
+    /** Body of a request frame (client to server). */
     struct WireRequest
     {
         enum class Op : std::uint8_t { Get, Put, Del };
@@ -83,23 +83,23 @@ class KvStoreServer : public SimObject
         std::uint64_t key = 0;
         std::vector<std::uint8_t> value;
         std::uint32_t srcPort = 0;
+        /** Request id, unique per client. */
+        std::uint64_t id = 0;
     };
+    /** Body of a response frame (server to client). */
     struct WireResponse
     {
+        std::uint64_t id = 0;
         bool ok = false;
         std::vector<std::uint8_t> value;
     };
-
-    static std::uint32_t registerRequest(WireRequest req);
-    static WireResponse takeResponse(std::uint32_t id);
 
   private:
     enum : std::uint8_t { slotEmpty = 0, slotUsed = 1, slotDead = 2 };
 
     std::uint64_t hash(std::uint64_t key) const;
     Addr slotAddr(std::uint64_t index) const;
-    void onFrame(Tick when, std::uint64_t payload, std::uint64_t user);
-    void serve(std::uint32_t id);
+    void serve(WireRequest &&req);
 
     net::Switch &sw_;
     mem::MemoryController &mem_;
@@ -132,18 +132,22 @@ class KvClient : public SimObject
     void erase(std::uint64_t key, AckDone done);
 
   private:
-    void onFrame(Tick when, std::uint64_t payload, std::uint64_t user);
-
     struct Pending
     {
         GetDone get_done;
         AckDone ack_done;
     };
 
+    /** Send @p req, completing with @p p, in a frame of @p bytes. */
+    void issue(KvStoreServer::WireRequest req, std::uint64_t bytes,
+               Pending p);
+    void onFrame(Tick when, net::Frame &&frame);
+
     net::Switch &sw_;
     std::uint32_t port_;
     std::uint32_t serverPort_;
-    std::unordered_map<std::uint32_t, Pending> pending_;
+    std::unordered_map<std::uint64_t, Pending> pending_;
+    std::uint64_t nextId_ = 1;
 };
 
 } // namespace enzian::accel

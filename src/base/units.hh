@@ -17,6 +17,9 @@ namespace enzian {
 /** Simulated time in picoseconds. */
 using Tick = std::uint64_t;
 
+/** A tick later than any the simulation reaches ("never"). */
+constexpr Tick kMaxTick = ~Tick{0};
+
 /** Physical address in the simulated machine. */
 using Addr = std::uint64_t;
 

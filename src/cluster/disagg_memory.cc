@@ -49,53 +49,46 @@ Predicate::matches(const std::uint8_t *row) const
     panic("bad filter op");
 }
 
-std::uint64_t
-DisaggMemoryServer::registerRequest(WireRequest req)
-{
-    if (req.kind == WireRequest::Kind::ScanFilter)
-        req.pred.validate(req.row_bytes);
-    return requests_.put(std::move(req));
-}
-
-std::vector<std::uint8_t>
-DisaggMemoryServer::takeResponse(std::uint64_t id)
-{
-    auto out = responses_.take(id);
-    return out ? std::move(*out) : std::vector<std::uint8_t>{};
-}
-
 DisaggMemoryServer::DisaggMemoryServer(std::string name, EventQueue &eq,
                                        net::Switch &sw,
                                        mem::MemoryController &fpga_mem,
                                        const Config &cfg)
     : SimObject(std::move(name), eq), sw_(sw), mem_(fpga_mem), cfg_(cfg)
 {
-    sw_.setEndpoint(cfg_.port,
-                    [this](Tick when, std::uint64_t payload,
-                           std::uint64_t tag) {
-                        onFrame(when, payload, net::Switch::userOf(tag));
-                    });
+    sw_.setEndpoint(cfg_.port, [this](Tick, net::Frame &&frame) {
+        eventq().scheduleDelta(
+            units::ns(cfg_.request_proc_ns),
+            [this, body = std::move(frame.body)]() mutable {
+                serve(std::move(body.get<WireRequest>()));
+            },
+            "disagg-request");
+    });
     stats().addCounter("requests", &served_);
     stats().addCounter("rows_scanned", &scanned_);
     stats().addCounter("bytes_returned", &returned_);
 }
 
 void
-DisaggMemoryServer::onFrame(Tick, std::uint64_t, std::uint64_t user)
+DisaggMemoryServer::respondAt(Tick when, WireRequest &&req,
+                              const char *what)
 {
-    const std::uint64_t id = user;
-    eventq().scheduleDelta(units::ns(cfg_.request_proc_ns),
-                           [this, id]() { serve(id); },
-                           "disagg-request");
+    net::Payload body;
+    body.emplace<WireRequest>(std::move(req));
+    eventq().schedule(
+        when,
+        [this, body = std::move(body)]() mutable {
+            const auto &rsp = body.get<WireRequest>();
+            const std::uint64_t bytes = headerBytes + rsp.data.size();
+            const std::uint32_t dst = rsp.srcPort;
+            sw_.sendFrom(cfg_.port,
+                         net::Frame{bytes, dst, std::move(body)});
+        },
+        what);
 }
 
 void
-DisaggMemoryServer::serve(std::uint64_t id)
+DisaggMemoryServer::serve(WireRequest &&req)
 {
-    auto taken = requests_.take(id);
-    ENZIAN_ASSERT(taken, "unknown disagg request %llu",
-                  static_cast<unsigned long long>(id));
-    WireRequest req = std::move(*taken);
     served_.inc();
 
     using Kind = WireRequest::Kind;
@@ -103,20 +96,13 @@ DisaggMemoryServer::serve(std::uint64_t id)
       case Kind::Read: {
         ENZIAN_ASSERT(req.off + req.len <= cfg_.region_size,
                       "disagg read out of region");
-        std::vector<std::uint8_t> out(req.len);
+        req.data.resize(req.len);
         const Tick ready =
-            mem_.read(now(), cfg_.region_base + req.off, out.data(),
+            mem_.read(now(), cfg_.region_base + req.off, req.data.data(),
                       req.len)
                 .done;
         returned_.inc(req.len);
-        responses_.putAt(id, std::move(out));
-        eventq().schedule(
-            ready,
-            [this, id, port = req.srcPort, len = req.len]() {
-                sw_.sendFrom(cfg_.port, len + headerBytes,
-                             net::Switch::makeTag(port, id));
-            },
-            "disagg-read-done");
+        respondAt(ready, std::move(req), "disagg-read-done");
         return;
       }
       case Kind::Write: {
@@ -126,13 +112,8 @@ DisaggMemoryServer::serve(std::uint64_t id)
             mem_.write(now(), cfg_.region_base + req.off,
                        req.data.data(), req.data.size())
                 .done;
-        eventq().schedule(
-            durable,
-            [this, id, port = req.srcPort]() {
-                sw_.sendFrom(cfg_.port, headerBytes,
-                             net::Switch::makeTag(port, id));
-            },
-            "disagg-write-done");
+        req.data.clear(); // the ack carries no data
+        respondAt(durable, std::move(req), "disagg-write-done");
         return;
       }
       case Kind::ScanFilter: {
@@ -163,15 +144,8 @@ DisaggMemoryServer::serve(std::uint64_t id)
         }
         scanned_.inc(req.row_count);
         returned_.inc(matches.size());
-        const std::uint64_t wire = matches.size() + headerBytes;
-        responses_.putAt(id, std::move(matches));
-        eventq().schedule(
-            ready,
-            [this, id, port = req.srcPort, wire]() {
-                sw_.sendFrom(cfg_.port, wire,
-                             net::Switch::makeTag(port, id));
-            },
-            "disagg-scan-done");
+        req.data = std::move(matches);
+        respondAt(ready, std::move(req), "disagg-scan-done");
         return;
       }
     }
@@ -185,11 +159,20 @@ DisaggMemoryClient::DisaggMemoryClient(std::string name, EventQueue &eq,
     : SimObject(std::move(name), eq), sw_(sw), port_(port),
       server_(server)
 {
-    sw_.setEndpoint(port_,
-                    [this](Tick when, std::uint64_t payload,
-                           std::uint64_t tag) {
-                        onFrame(when, payload, net::Switch::userOf(tag));
-                    });
+    sw_.setEndpoint(port_, [this](Tick when, net::Frame &&frame) {
+        onFrame(when, std::move(frame));
+    });
+}
+
+void
+DisaggMemoryClient::issue(DisaggMemoryServer::WireRequest req,
+                          std::uint64_t bytes, Pending p)
+{
+    req.id = nextId_++;
+    req.srcPort = port_;
+    pending_[req.id] = std::move(p);
+    sw_.sendFrom(port_, net::makeFrame(bytes, server_.config().port,
+                                       std::move(req)));
 }
 
 void
@@ -200,11 +183,7 @@ DisaggMemoryClient::read(Addr off, std::uint8_t *dst, std::uint64_t len,
     req.kind = DisaggMemoryServer::WireRequest::Kind::Read;
     req.off = off;
     req.len = len;
-    req.srcPort = port_;
-    const std::uint64_t id = server_.registerRequest(std::move(req));
-    pending_[id] = Pending{dst, std::move(done), {}};
-    sw_.sendFrom(port_, headerBytes,
-                 net::Switch::makeTag(server_.config().port, id));
+    issue(std::move(req), headerBytes, Pending{dst, std::move(done), {}});
 }
 
 void
@@ -214,12 +193,9 @@ DisaggMemoryClient::write(Addr off, const std::uint8_t *src,
     DisaggMemoryServer::WireRequest req;
     req.kind = DisaggMemoryServer::WireRequest::Kind::Write;
     req.off = off;
-    req.srcPort = port_;
     req.data.assign(src, src + len);
-    const std::uint64_t id = server_.registerRequest(std::move(req));
-    pending_[id] = Pending{nullptr, std::move(done), {}};
-    sw_.sendFrom(port_, len + headerBytes,
-                 net::Switch::makeTag(server_.config().port, id));
+    issue(std::move(req), len + headerBytes,
+          Pending{nullptr, std::move(done), {}});
 }
 
 void
@@ -227,39 +203,34 @@ DisaggMemoryClient::scanFilter(Addr off, std::uint32_t row_bytes,
                                std::uint64_t row_count,
                                const Predicate &pred, ScanDone done)
 {
+    pred.validate(row_bytes);
     DisaggMemoryServer::WireRequest req;
     req.kind = DisaggMemoryServer::WireRequest::Kind::ScanFilter;
     req.off = off;
     req.row_bytes = row_bytes;
     req.row_count = row_count;
     req.pred = pred;
-    req.srcPort = port_;
-    const std::uint64_t id = server_.registerRequest(std::move(req));
     Pending p;
     p.scan_done = std::move(done);
-    pending_[id] = std::move(p);
-    sw_.sendFrom(port_, headerBytes,
-                 net::Switch::makeTag(server_.config().port, id));
+    issue(std::move(req), headerBytes, std::move(p));
 }
 
 void
-DisaggMemoryClient::onFrame(Tick when, std::uint64_t payload,
-                            std::uint64_t user)
+DisaggMemoryClient::onFrame(Tick when, net::Frame &&frame)
 {
-    const std::uint64_t id = user;
-    auto it = pending_.find(id);
+    auto &rsp = frame.body.get<DisaggMemoryServer::WireRequest>();
+    auto it = pending_.find(rsp.id);
     ENZIAN_ASSERT(it != pending_.end(),
                   "disagg response for unknown id %llu",
-                  static_cast<unsigned long long>(id));
+                  static_cast<unsigned long long>(rsp.id));
     Pending p = std::move(it->second);
     pending_.erase(it);
-    auto data = server_.takeResponse(id);
     if (p.scan_done) {
-        p.scan_done(when, std::move(data), payload);
+        p.scan_done(when, std::move(rsp.data), frame.bytes);
         return;
     }
-    if (p.dst && !data.empty())
-        std::memcpy(p.dst, data.data(), data.size());
+    if (p.dst && !rsp.data.empty())
+        std::memcpy(p.dst, rsp.data.data(), rsp.data.size());
     if (p.done)
         p.done(when);
 }

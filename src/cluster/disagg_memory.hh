@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/wire_ledger.hh"
 #include "mem/memory_controller.hh"
 #include "net/switch.hh"
 #include "sim/clock_domain.hh"
@@ -52,8 +51,8 @@ struct Predicate
 
     /**
      * Fatal unless the 8-byte column read fits inside a row of
-     * @p row_bytes. Checked when a scan request is registered, so a
-     * bad offset fails loudly instead of reading past the row buffer.
+     * @p row_bytes. Checked when a client issues a scan, so a bad
+     * offset fails loudly instead of reading past the row buffer.
      */
     void validate(std::uint32_t row_bytes) const;
 
@@ -95,11 +94,9 @@ class DisaggMemoryServer : public SimObject
     const Config &config() const { return cfg_; }
 
     /**
-     * @internal wire record shared with clients. The request and
-     * response ledgers are owned by this server instance — several
-     * servers in one process no longer collide ids or leak each
-     * other's state, and the ledgers are thread-safe under
-     * DomainScheduler.
+     * Body of a disaggregated-memory frame. A client sends a request
+     * in it, and the server sends the same record back as the
+     * response, carrying the read bytes or the matching rows.
      */
     struct WireRequest
     {
@@ -111,24 +108,15 @@ class DisaggMemoryServer : public SimObject
         std::uint64_t row_count = 0; // ScanFilter
         Predicate pred;              // ScanFilter
         std::uint32_t srcPort = 0;
-        std::vector<std::uint8_t> data; // Write payload
+        /** Request id, unique per client. */
+        std::uint64_t id = 0;
+        std::vector<std::uint8_t> data; // Write payload / response
     };
 
-    /**
-     * Register a request; the returned id rides the frame tag.
-     * ScanFilter predicates are bounds-checked here (fatal on a
-     * column read that would run past the row).
-     */
-    std::uint64_t registerRequest(WireRequest req);
-    /** Fetch (and drop) a response payload by id ({} if absent). */
-    std::vector<std::uint8_t> takeResponse(std::uint64_t id);
-
-    /** Requests currently in flight (test introspection). */
-    std::size_t requestsInFlight() const { return requests_.size(); }
-
   private:
-    void onFrame(Tick when, std::uint64_t payload, std::uint64_t user);
-    void serve(std::uint64_t id);
+    void serve(WireRequest &&req);
+    /** Send @p req back to its client at @p when. */
+    void respondAt(Tick when, WireRequest &&req, const char *what);
 
     net::Switch &sw_;
     mem::MemoryController &mem_;
@@ -136,8 +124,6 @@ class DisaggMemoryServer : public SimObject
     Counter served_;
     Counter scanned_;
     Counter returned_;
-    WireLedger<WireRequest> requests_;
-    WireLedger<std::vector<std::uint8_t>> responses_;
 };
 
 /** Client side: issue reads/writes/pushdown scans to a server. */
@@ -150,8 +136,8 @@ class DisaggMemoryClient : public SimObject
         Tick, std::vector<std::uint8_t>, std::uint64_t)>;
 
     /**
-     * @param server the serving instance; owns the wire ledgers and
-     *        determines the destination port
+     * @param server the serving instance; its port is the
+     *        destination of every request
      */
     DisaggMemoryClient(std::string name, EventQueue &eq,
                        net::Switch &sw, std::uint32_t port,
@@ -175,8 +161,6 @@ class DisaggMemoryClient : public SimObject
                     ScanDone done);
 
   private:
-    void onFrame(Tick when, std::uint64_t payload, std::uint64_t user);
-
     struct Pending
     {
         std::uint8_t *dst = nullptr;
@@ -184,10 +168,16 @@ class DisaggMemoryClient : public SimObject
         ScanDone scan_done;
     };
 
+    /** Send @p req in a frame of @p bytes; @p p completes it. */
+    void issue(DisaggMemoryServer::WireRequest req, std::uint64_t bytes,
+               Pending p);
+    void onFrame(Tick when, net::Frame &&frame);
+
     net::Switch &sw_;
     std::uint32_t port_;
     DisaggMemoryServer &server_;
     std::unordered_map<std::uint64_t, Pending> pending_;
+    std::uint64_t nextId_ = 1;
 };
 
 } // namespace enzian::cluster

@@ -17,60 +17,42 @@ constexpr std::uint32_t bridgeHeaderBytes = 48;
 
 } // namespace
 
-std::vector<std::uint8_t>
-EciBridgeTarget::takeResult(std::uint64_t id)
-{
-    auto out = results_.take(id);
-    return out ? std::move(*out) : std::vector<std::uint8_t>{};
-}
-
 EciBridgeTarget::EciBridgeTarget(std::string name, EventQueue &eq,
                                  net::Switch &sw, eci::HomeAgent &home,
                                  const Config &cfg)
     : SimObject(std::move(name), eq), sw_(sw), home_(home), cfg_(cfg)
 {
-    sw_.setEndpoint(cfg_.port,
-                    [this](Tick when, std::uint64_t payload,
-                           std::uint64_t tag) {
-                        onFrame(when, payload, net::Switch::userOf(tag));
-                    });
+    sw_.setEndpoint(cfg_.port, [this](Tick, net::Frame &&frame) {
+        eventq().scheduleDelta(
+            units::ns(cfg_.proc_ns),
+            [this, body = std::move(frame.body)]() mutable {
+                serve(std::move(body.get<WireOp>()));
+            },
+            "bridge-serve");
+    });
     stats().addCounter("lines_served", &served_);
 }
 
 void
-EciBridgeTarget::onFrame(Tick, std::uint64_t, std::uint64_t user)
+EciBridgeTarget::serve(WireOp &&wop)
 {
-    const std::uint64_t id = user;
-    eventq().scheduleDelta(
-        units::ns(cfg_.proc_ns),
-        [this, id]() {
-            auto taken = ops_.take(id);
-            ENZIAN_ASSERT(taken, "unknown bridge op %llu",
-                          static_cast<unsigned long long>(id));
-            auto op = std::make_shared<WireOp>(std::move(*taken));
-            served_.inc();
-            const Addr line = cfg_.export_base + op->line;
-            if (op->write) {
-                home_.localWrite(
-                    line, op->data.data(), [this, op, id](Tick) {
-                        sw_.sendFrom(cfg_.port, bridgeHeaderBytes,
-                                     net::Switch::makeTag(op->srcPort,
-                                                          id));
-                    });
-            } else {
-                auto buf = std::make_shared<
-                    std::vector<std::uint8_t>>(cache::lineSize);
-                home_.localRead(
-                    line, buf->data(), [this, op, buf, id](Tick) {
-                        results_.putAt(id, std::move(*buf));
-                        sw_.sendFrom(
-                            cfg_.port,
-                            bridgeHeaderBytes + cache::lineSize,
-                            net::Switch::makeTag(op->srcPort, id));
-                    });
-            }
-        },
-        "bridge-serve");
+    served_.inc();
+    auto op = std::make_shared<WireOp>(std::move(wop));
+    const Addr line = cfg_.export_base + op->line;
+    auto respond = [this, op](Tick) {
+        sw_.sendFrom(cfg_.port,
+                     net::makeFrame(bridgeHeaderBytes + op->data.size(),
+                                    op->srcPort, std::move(*op)));
+    };
+    if (op->write) {
+        home_.localWrite(line, op->data.data(), [op, respond](Tick t) {
+            op->data.clear(); // the ack carries no data
+            respond(t);
+        });
+    } else {
+        op->data.assign(cache::lineSize, 0);
+        home_.localRead(line, op->data.data(), respond);
+    }
 }
 
 EciBridgeSource::EciBridgeSource(std::string name, EventQueue &eq,
@@ -83,12 +65,34 @@ EciBridgeSource::EciBridgeSource(std::string name, EventQueue &eq,
 {
     ENZIAN_ASSERT(cache::isLineAligned(cfg_.window_base),
                   "bridge window must be line aligned");
-    sw_.setEndpoint(cfg_.port,
-                    [this](Tick when, std::uint64_t payload,
-                           std::uint64_t tag) {
-                        onFrame(when, payload, net::Switch::userOf(tag));
-                    });
+    sw_.setEndpoint(cfg_.port, [this](Tick when, net::Frame &&frame) {
+        onFrame(when, std::move(frame));
+    });
     stats().addCounter("lines_bridged", &bridged_);
+}
+
+void
+EciBridgeSource::issue(Tick when, EciBridgeTarget::WireOp op, Pending p,
+                       const char *what)
+{
+    bridged_.inc();
+    op.id = nextId_++;
+    op.srcPort = cfg_.port;
+    pending_[op.id] = std::move(p);
+    net::Payload body;
+    body.emplace<EciBridgeTarget::WireOp>(std::move(op));
+    // The request leaves when the home pipeline hands it over.
+    eventq().schedule(
+        std::max(when, now()),
+        [this, body = std::move(body)]() mutable {
+            const std::uint64_t bytes =
+                bridgeHeaderBytes +
+                body.get<EciBridgeTarget::WireOp>().data.size();
+            sw_.sendFrom(cfg_.port, net::Frame{bytes,
+                                               target_.config().port,
+                                               std::move(body)});
+        },
+        what);
 }
 
 void
@@ -99,22 +103,10 @@ EciBridgeSource::readLine(Tick when, Addr addr, std::uint8_t *out,
         fallback_.readLine(when, addr, out, std::move(done));
         return;
     }
-    bridged_.inc();
     EciBridgeTarget::WireOp op;
-    op.write = false;
     op.line = addr - cfg_.window_base;
-    op.srcPort = cfg_.port;
-    const std::uint64_t id = target_.registerOp(std::move(op));
-    pending_[id] = Pending{out, std::move(done)};
-    // The request leaves when the home pipeline hands it over.
-    eventq().schedule(
-        std::max(when, now()),
-        [this, id]() {
-            sw_.sendFrom(cfg_.port, bridgeHeaderBytes,
-                         net::Switch::makeTag(target_.config().port,
-                                              id));
-        },
-        "bridge-read-req");
+    issue(when, std::move(op), Pending{out, std::move(done)},
+          "bridge-read-req");
 }
 
 void
@@ -125,40 +117,28 @@ EciBridgeSource::writeLine(Tick when, Addr addr,
         fallback_.writeLine(when, addr, data, std::move(done));
         return;
     }
-    bridged_.inc();
     EciBridgeTarget::WireOp op;
     op.write = true;
     op.line = addr - cfg_.window_base;
-    op.srcPort = cfg_.port;
     op.data.assign(data, data + cache::lineSize);
-    const std::uint64_t id = target_.registerOp(std::move(op));
-    pending_[id] = Pending{nullptr, std::move(done)};
-    eventq().schedule(
-        std::max(when, now()),
-        [this, id]() {
-            sw_.sendFrom(cfg_.port,
-                         bridgeHeaderBytes + cache::lineSize,
-                         net::Switch::makeTag(target_.config().port,
-                                              id));
-        },
-        "bridge-write-req");
+    issue(when, std::move(op), Pending{nullptr, std::move(done)},
+          "bridge-write-req");
 }
 
 void
-EciBridgeSource::onFrame(Tick when, std::uint64_t, std::uint64_t user)
+EciBridgeSource::onFrame(Tick when, net::Frame &&frame)
 {
-    const std::uint64_t id = user;
-    auto it = pending_.find(id);
+    auto &op = frame.body.get<EciBridgeTarget::WireOp>();
+    auto it = pending_.find(op.id);
     ENZIAN_ASSERT(it != pending_.end(),
                   "bridge completion for unknown id %llu",
-                  static_cast<unsigned long long>(id));
+                  static_cast<unsigned long long>(op.id));
     Pending p = std::move(it->second);
     pending_.erase(it);
     if (p.out) {
-        auto data = target_.takeResult(id);
-        ENZIAN_ASSERT(data.size() == cache::lineSize,
+        ENZIAN_ASSERT(op.data.size() == cache::lineSize,
                       "bridge read without payload");
-        std::memcpy(p.out, data.data(), cache::lineSize);
+        std::memcpy(p.out, op.data.data(), cache::lineSize);
     }
     p.done(when);
 }

@@ -29,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/wire_ledger.hh"
 #include "eci/home_agent.hh"
 #include "net/switch.hh"
 
@@ -61,37 +60,27 @@ class EciBridgeTarget : public SimObject
     const Config &config() const { return cfg_; }
 
     /**
-     * @internal wire record shared with the source side. The op and
-     * result ledgers are owned by this target instance — two bridges
-     * in one process (or consecutive tests) can no longer collide ids
-     * or leak each other's state, and the ledgers are thread-safe
-     * under DomainScheduler.
+     * Body of a bridge frame. A source sends an op to the target in
+     * it, and the target sends the same record back as the response,
+     * carrying the line for a read.
      */
     struct WireOp
     {
         bool write = false;
         Addr line = 0; // window-relative
         std::uint32_t srcPort = 0;
+        /** Op id, unique per source. */
+        std::uint64_t id = 0;
         std::vector<std::uint8_t> data; // write payload / read result
     };
 
-    /** Register an op from a source; the id rides the frame tag. */
-    std::uint64_t registerOp(WireOp op) { return ops_.put(std::move(op)); }
-    /** Fetch (and drop) a read result by id ({} if absent). */
-    std::vector<std::uint8_t> takeResult(std::uint64_t id);
-
-    /** Ops currently in flight (test introspection). */
-    std::size_t opsInFlight() const { return ops_.size(); }
-
   private:
-    void onFrame(Tick when, std::uint64_t payload, std::uint64_t user);
+    void serve(WireOp &&wop);
 
     net::Switch &sw_;
     eci::HomeAgent &home_;
     Config cfg_;
     Counter served_;
-    WireLedger<WireOp> ops_;
-    WireLedger<std::vector<std::uint8_t>> results_;
 };
 
 /**
@@ -114,8 +103,8 @@ class EciBridgeSource : public SimObject, public eci::LineSource
     /**
      * @param fallback source for addresses outside the window
      *        (normally the machine's DRAM source)
-     * @param target the exporting machine's bridge target; owns the
-     *        wire ledgers and determines the destination port
+     * @param target the exporting machine's bridge target; its port
+     *        is the destination of every bridged op
      */
     EciBridgeSource(std::string name, EventQueue &eq, net::Switch &sw,
                     eci::LineSource &fallback, EciBridgeTarget &target,
@@ -137,19 +126,23 @@ class EciBridgeSource : public SimObject, public eci::LineSource
                addr < cfg_.window_base + cfg_.window_size;
     }
 
-    void onFrame(Tick when, std::uint64_t payload, std::uint64_t user);
-
     struct Pending
     {
         std::uint8_t *out = nullptr;
         Done done;
     };
 
+    /** Send @p op to the target at @p when; @p p completes it. */
+    void issue(Tick when, EciBridgeTarget::WireOp op, Pending p,
+               const char *what);
+    void onFrame(Tick when, net::Frame &&frame);
+
     net::Switch &sw_;
     eci::LineSource &fallback_;
     EciBridgeTarget &target_;
     Config cfg_;
     std::unordered_map<std::uint64_t, Pending> pending_;
+    std::uint64_t nextId_ = 1;
     Counter bridged_;
 };
 

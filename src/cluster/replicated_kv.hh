@@ -21,7 +21,7 @@
  * nearest replica by topology distance — a client co-located with a
  * replica reads straight through the memory path, no network at all.
  * With a recovery timeout configured, lost RDMA frames (enzchaos
- * drops) are retried under fresh wire ids, so read-your-writes holds
+ * drops) are retried under fresh attempt ids, so read-your-writes holds
  * under faults.
  */
 

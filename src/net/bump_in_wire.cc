@@ -20,13 +20,11 @@ BumpInWire::BumpInWire(std::string name, EventQueue &eq,
     // The FPGA owns side 1 of the switch-facing link and side 0 of
     // the NIC-facing link; frames arriving on either side traverse
     // the inline pipeline to the other.
-    netLink_.setReceiver(1, [this](Tick when, std::uint64_t payload,
-                                   std::uint64_t tag) {
-        forward(/*to_host=*/true, when, payload, tag);
+    netLink_.setReceiver(1, [this](Tick when, Frame &&frame) {
+        forward(/*to_host=*/true, when, std::move(frame));
     });
-    hostLink_.setReceiver(0, [this](Tick when, std::uint64_t payload,
-                                    std::uint64_t tag) {
-        forward(/*to_host=*/false, when, payload, tag);
+    hostLink_.setReceiver(0, [this](Tick when, Frame &&frame) {
+        forward(/*to_host=*/false, when, std::move(frame));
     });
     stats().addCounter("frames_to_host", &toHost_);
     stats().addCounter("frames_to_net", &toNet_);
@@ -35,9 +33,9 @@ BumpInWire::BumpInWire(std::string name, EventQueue &eq,
 }
 
 void
-BumpInWire::forward(bool to_host, Tick when, std::uint64_t payload,
-                    std::uint64_t tag)
+BumpInWire::forward(bool to_host, Tick when, Frame &&frame)
 {
+    const std::uint64_t payload = frame.bytes;
     bytesIn_.inc(payload);
     const std::uint64_t out =
         transform_ ? transform_(to_host, payload) : payload;
@@ -52,13 +50,16 @@ BumpInWire::forward(bool to_host, Tick when, std::uint64_t payload,
     pipeFreeAt_ = start + stream;
     const Tick ready = start + stream + units::ns(cfg_.pipeline_ns);
 
+    frame.bytes = out;
+    pipe_.push(Transit{to_host, std::move(frame)});
     eventq().schedule(
         ready,
-        [this, to_host, out, tag]() {
-            if (to_host)
-                hostLink_.send(0, out, tag); // FPGA owns side 0 here
+        [this]() {
+            Transit t = pipe_.pop();
+            if (t.toHost)
+                hostLink_.send(0, std::move(t.frame)); // FPGA owns side 0
             else
-                netLink_.send(1, out, tag);
+                netLink_.send(1, std::move(t.frame));
         },
         "biw-forward");
 }

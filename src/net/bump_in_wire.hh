@@ -22,6 +22,7 @@
 
 #include <functional>
 
+#include "base/ring_fifo.hh"
 #include "net/ethernet.hh"
 
 namespace enzian::net {
@@ -65,14 +66,26 @@ class BumpInWire : public SimObject
     std::uint64_t bytesOut() const { return bytesOut_.value(); }
 
   private:
-    void forward(bool to_host, Tick when, std::uint64_t payload,
-                 std::uint64_t tag);
+    /** A frame inside the pipeline, bound for one of the links. */
+    struct Transit
+    {
+        bool toHost = false;
+        Frame frame;
+    };
+
+    void forward(bool to_host, Tick when, Frame &&frame);
 
     EthernetLink &netLink_;
     EthernetLink &hostLink_;
     Config cfg_;
     Transform transform_;
     Tick pipeFreeAt_ = 0;
+    /**
+     * Frames in the pipeline. Both directions share it and each frame
+     * starts after the previous one streamed, so frames leave in
+     * arrival order and the exit event captures only `this`.
+     */
+    RingFifo<Transit> pipe_;
     Counter toHost_;
     Counter toNet_;
     Counter bytesIn_;

@@ -48,12 +48,15 @@ EthernetLink::bindDomains(sim::DomainScheduler &sched,
     dirBind_.bind(sched, side0_domain, side1_domain,
                   minCrossLatency(cfg_));
     if (dirBind_.crossDomain()) {
-        lanes_ =
-            std::make_unique<std::array<sim::ChannelLane<Frame>, 2>>();
-        for (std::size_t side = 0; side < 2; ++side) {
+        lanes_ = std::make_unique<
+            std::array<sim::ChannelLane<InFlight>, 2>>();
+        for (PortSide side = 0; side < 2; ++side) {
             (*lanes_)[side].attach(
-                *dirBind_.channel(side), [this](Frame &f) {
-                    handlers_[f.to](f.delivery, f.payload, f.tag);
+                *dirBind_.channel(side), [this, side](InFlight &f) {
+                    // Moved out so the body dies with this delivery,
+                    // not when the slot is reused.
+                    Frame frame = std::move(f.frame);
+                    handlers_[side ^ 1](f.delivery, std::move(frame));
                 });
         }
     }
@@ -73,11 +76,11 @@ EthernetLink::effectiveBandwidth() const
 }
 
 Tick
-EthernetLink::send(PortSide from, std::uint64_t payload,
-                   std::uint64_t tag)
+EthernetLink::send(PortSide from, Frame frame)
 {
     ENZIAN_ASSERT(from < 2, "bad port side %u", from);
     const PortSide to = from ^ 1;
+    const std::uint64_t payload = frame.bytes;
     bytes_[from].inc(payload);
 
     const std::uint64_t frames =
@@ -94,27 +97,26 @@ EthernetLink::send(PortSide from, std::uint64_t payload,
 
     ENZIAN_ASSERT(handlers_[to], "no receiver on side %u of %s", to,
                   name().c_str());
-    if (!dirBind_.bound()) {
-        eventq().schedule(
-            delivery,
-            [this, to, delivery, payload, tag]() {
-                handlers_[to](delivery, payload, tag);
-            },
-            "eth-deliver");
-    } else if (dirBind_.crossDomain()) {
+    if (dirBind_.crossDomain()) {
         // Frames cross through the side's slot arena: the channel
         // records only (tick, lane, slot) and the delivery closure is
         // a two-word inline capture.
-        (*lanes_)[from].push(delivery, Frame{delivery, payload, tag, to});
-    } else { // both sides in one domain: deliver locally
-        dirBind_.clock(from).schedule(
-            delivery,
-            [this, to, delivery, payload, tag]() {
-                handlers_[to](delivery, payload, tag);
-            },
-            "eth-deliver");
+        (*lanes_)[from].push(delivery, InFlight{delivery, std::move(frame)});
+        return delivery;
     }
+    wire_[from].push(InFlight{delivery, std::move(frame)});
+    // Legacy mode, or both sides in one domain: deliver locally.
+    EventQueue &q = dirBind_.bound() ? dirBind_.clock(from) : eventq();
+    q.schedule(delivery, [this, from]() { deliverNext(from); },
+               "eth-deliver");
     return delivery;
+}
+
+void
+EthernetLink::deliverNext(PortSide from)
+{
+    InFlight f = wire_[from].pop();
+    handlers_[from ^ 1](f.delivery, std::move(f.frame));
 }
 
 } // namespace enzian::net

@@ -4,8 +4,9 @@
  *
  * Models one full-duplex Ethernet link (40 or 100 Gb/s on Enzian) as
  * a serializer with per-frame overheads (preamble + FCS + inter-frame
- * gap + L2 header) and a propagation delay. Endpoints exchange opaque
- * messages; payload semantics live in the stacks built on top.
+ * gap + L2 header) and a propagation delay. Endpoints exchange
+ * Frames; the record in a frame's body means something only to the
+ * stacks built on top.
  */
 
 #ifndef ENZIAN_NET_ETHERNET_HH
@@ -15,6 +16,8 @@
 #include <functional>
 #include <memory>
 
+#include "base/ring_fifo.hh"
+#include "net/frame.hh"
 #include "sim/channel_lane.hh"
 #include "sim/domain_binding.hh"
 #include "sim/sim_object.hh"
@@ -42,9 +45,8 @@ class EthernetLink : public SimObject
         double latency_ns = 450.0;
     };
 
-    /** Delivery callback: (delivery tick, payload bytes, message tag). */
-    using Handler =
-        std::function<void(Tick, std::uint64_t, std::uint64_t)>;
+    /** Delivery callback: (delivery tick, the frame). */
+    using Handler = std::function<void(Tick, Frame &&)>;
 
     EthernetLink(std::string name, EventQueue &eq, const Config &cfg);
 
@@ -74,12 +76,12 @@ class EthernetLink : public SimObject
     void setReceiver(PortSide side, Handler h);
 
     /**
-     * Send @p payload bytes from @p from to the other side. The
-     * payload is segmented into MTU-sized frames for timing; @p tag is
-     * delivered opaquely to the receiver.
+     * Send @p frame from @p from to the other side. Its bytes are
+     * segmented into MTU-sized frames for timing; the frame itself,
+     * body included, is handed to the receiver.
      * @return the delivery tick of the last byte.
      */
-    Tick send(PortSide from, std::uint64_t payload, std::uint64_t tag);
+    Tick send(PortSide from, Frame frame);
 
     /** Effective payload bandwidth at the configured MTU (bytes/s). */
     double effectiveBandwidth() const;
@@ -95,14 +97,15 @@ class EthernetLink : public SimObject
     }
 
   private:
-    /** One frame crossing domains; payload for the side's slot arena. */
-    struct Frame
+    /** A frame on the wire, due at the far side at @c delivery. */
+    struct InFlight
     {
-        Tick delivery;
-        std::uint64_t payload;
-        std::uint64_t tag;
-        std::uint32_t to;
+        Tick delivery = 0;
+        Frame frame;
     };
+
+    /** Hand the oldest frame sent from @p from to the other side. */
+    void deliverNext(PortSide from);
 
     Config cfg_;
     double lineBw_;
@@ -112,6 +115,13 @@ class EthernetLink : public SimObject
     Handler handlers_[2];
     /** bytes_[side] likewise has a single writer in domain mode. */
     Counter bytes_[2];
+    /**
+     * Frames in flight per sending side when delivery stays on one
+     * queue. A side delivers in send order (each frame starts after
+     * the previous one left the serializer, and the latency is
+     * fixed), so the delivery event captures only the side.
+     */
+    RingFifo<InFlight> wire_[2];
 
     // --- parallel domain mode state (unbound in legacy mode) -------
     /** Per-side source clock + outbound mailbox, bound with this
@@ -119,7 +129,7 @@ class EthernetLink : public SimObject
      *  latencies become per-pair lookaheads). */
     sim::DirDomainBinding dirBind_;
     /** Per-side frame slot arenas (cross-domain bindings only). */
-    std::unique_ptr<std::array<sim::ChannelLane<Frame>, 2>> lanes_;
+    std::unique_ptr<std::array<sim::ChannelLane<InFlight>, 2>> lanes_;
 };
 
 } // namespace enzian::net

@@ -2,57 +2,20 @@
  * @file
  * RDMA engine implementation.
  *
- * Request metadata and response payloads travel through an in-process
- * registry keyed by the request id carried in the wire tag; the wire
- * itself carries correctly sized frames so all timing is accounted.
+ * Requests and responses travel as WireRequest frame bodies in
+ * correctly sized frames, so all timing is accounted.
  */
 
 #include "net/rdma_engine.hh"
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "base/logging.hh"
-#include "base/wire_ledger.hh"
 #include "obs/request_context.hh"
 #include "obs/span_tracer.hh"
 
 namespace enzian::net {
-
-namespace {
-
-/**
- * Process-wide wire ledgers. Unlike the bridge/disagg services, an
- * initiator may talk to several targets (and a target to several
- * initiators), so the ledger is shared rather than instance-owned:
- * the atomic id counter keeps engines from colliding, the mutex keeps
- * concurrent timing domains safe, and ids are opaque (they never feed
- * timing or stats), so determinism is unaffected.
- */
-WireLedger<RdmaTarget::WireRequest> &
-requestLedger()
-{
-    static WireLedger<RdmaTarget::WireRequest> ledger;
-    return ledger;
-}
-
-WireLedger<std::vector<std::uint8_t>> &
-responseLedger()
-{
-    static WireLedger<std::vector<std::uint8_t>> ledger;
-    return ledger;
-}
-
-/** Forget everything the ledgers hold about an abandoned id. */
-void
-dropLedgerEntries(std::uint64_t id)
-{
-    requestLedger().erase(id);
-    responseLedger().erase(id);
-}
-
-} // namespace
 
 void
 DirectDramPath::read(Addr off, std::uint8_t *dst, std::uint64_t len,
@@ -141,21 +104,18 @@ PcieHostPath::write(Addr off, const std::uint8_t *src, std::uint64_t len,
                       std::move(done));
 }
 
-std::uint64_t
-RdmaTarget::registerRequest(WireRequest req)
-{
-    return requestLedger().put(std::move(req));
-}
-
 RdmaTarget::RdmaTarget(std::string name, EventQueue &eq, Switch &sw,
                        MemoryPath &mem, const Config &cfg)
     : SimObject(std::move(name), eq), sw_(sw), mem_(mem), cfg_(cfg)
 {
-    sw_.setEndpoint(cfg_.port,
-                    [this](Tick when, std::uint64_t payload,
-                           std::uint64_t tag) {
-                        onFrame(when, payload, Switch::userOf(tag));
-                    });
+    sw_.setEndpoint(cfg_.port, [this](Tick, Frame &&frame) {
+        eventq().scheduleDelta(
+            units::ns(cfg_.request_proc_ns),
+            [this, body = std::move(frame.body)]() mutable {
+                serve(std::move(body.get<WireRequest>()));
+            },
+            "rdma-request-proc");
+    });
     stats().addCounter("requests_served", &served_);
     stats().addCounter("bytes", &bytes_);
     stats().addCounter("stale_requests", &staleReqs_);
@@ -171,67 +131,52 @@ RdmaTarget::setFaults(Rng *rng, double response_drop_prob)
 }
 
 void
-RdmaTarget::onFrame(Tick, std::uint64_t, std::uint64_t user)
+RdmaTarget::serve(WireRequest &&wr)
 {
-    const std::uint64_t req_id = user;
-    eventq().scheduleDelta(units::ns(cfg_.request_proc_ns),
-                           [this, req_id]() { serve(req_id); },
-                           "rdma-request-proc");
-}
-
-void
-RdmaTarget::serve(std::uint64_t req_id)
-{
-    auto taken = requestLedger().take(req_id);
-    if (!taken) {
-        // The initiator timed out and abandoned this id before we got
-        // to it; the retry arrives under a fresh id.
+    if (now() >= wr.expires) {
+        // The initiator's retry timer for this attempt has fired (on
+        // one queue it was scheduled first, so it ran first): the
+        // attempt is abandoned and the retry comes as a new one.
         staleReqs_.inc();
         return;
     }
     served_.inc();
-    auto req = std::make_shared<WireRequest>(std::move(*taken));
+    auto req = std::make_shared<WireRequest>(std::move(wr));
     bytes_.inc(req->len);
     const Tick t0 = now();
     if (req->op == RdmaOp::Read) {
-        auto buf =
-            std::make_shared<std::vector<std::uint8_t>>(req->len);
-        mem_.read(req->off, buf->data(), req->len,
-                  [this, req, buf, req_id, t0](Tick t) {
+        req->data.resize(req->len);
+        mem_.read(req->off, req->data.data(), req->len,
+                  [this, req, t0](Tick t) {
                       service_.sample(units::toNanos(t - t0));
                       ENZIAN_SPAN(name(), "read", t0, t);
                       ENZIAN_FLOW_STEP(name(), "read", t, req->flowId);
-                      responseLedger().putAt(req_id, std::move(*buf));
-                      if (faultRng_ && rspDropProb_ > 0.0 &&
-                          faultRng_->chance(rspDropProb_)) {
-                          // Lost on the wire; the payload entry is
-                          // reclaimed when the initiator abandons
-                          // this id on timeout.
-                          rspsDropped_.inc();
-                          return;
-                      }
-                      sw_.sendFrom(cfg_.port,
-                                   req->len + rdmaHeaderBytes,
-                                   Switch::makeTag(req->srcPort,
-                                                   req_id));
+                      respond(std::move(*req));
                   });
     } else {
         mem_.write(req->off, req->data.data(), req->len,
-                   [this, req, req_id, t0](Tick t) {
+                   [this, req, t0](Tick t) {
                        service_.sample(units::toNanos(t - t0));
                        ENZIAN_SPAN(name(), "write", t0, t);
                        ENZIAN_FLOW_STEP(name(), "write", t,
                                         req->flowId);
-                       if (faultRng_ && rspDropProb_ > 0.0 &&
-                           faultRng_->chance(rspDropProb_)) {
-                           rspsDropped_.inc();
-                           return;
-                       }
-                       sw_.sendFrom(cfg_.port, rdmaHeaderBytes,
-                                    Switch::makeTag(req->srcPort,
-                                                    req_id));
+                       req->data.clear(); // the response carries none
+                       respond(std::move(*req));
                    });
     }
+}
+
+void
+RdmaTarget::respond(WireRequest &&req)
+{
+    if (faultRng_ && rspDropProb_ > 0.0 &&
+        faultRng_->chance(rspDropProb_)) {
+        // Lost on the wire; the initiator's timeout recovers it.
+        rspsDropped_.inc();
+        return;
+    }
+    sw_.sendFrom(cfg_.port, makeFrame(rdmaHeaderBytes + req.data.size(),
+                                      req.srcPort, std::move(req)));
 }
 
 RdmaInitiator::RdmaInitiator(std::string name, EventQueue &eq,
@@ -240,11 +185,9 @@ RdmaInitiator::RdmaInitiator(std::string name, EventQueue &eq,
     : SimObject(std::move(name), eq), sw_(sw), port_(port),
       targetPort_(target_port)
 {
-    sw_.setEndpoint(port_,
-                    [this](Tick when, std::uint64_t payload,
-                           std::uint64_t tag) {
-                        onFrame(when, payload, Switch::userOf(tag));
-                    });
+    sw_.setEndpoint(port_, [this](Tick when, Frame &&frame) {
+        onFrame(when, std::move(frame));
+    });
     stats().addCounter("retries", &retries_);
     stats().addCounter("fault_requests_dropped", &reqsDropped_);
     stats().addCounter("stale_completions", &staleCompletions_);
@@ -318,11 +261,13 @@ RdmaInitiator::writeTo(std::uint32_t target_port, Addr off,
 void
 RdmaInitiator::issue(Pending p)
 {
+    const std::uint64_t id = nextId_++;
     RdmaTarget::WireRequest req;
     req.op = p.op;
     req.off = p.off;
     req.len = p.len;
     req.srcPort = port_;
+    req.id = id;
     req.flowId = p.flowId;
     p.issued = now();
     if (p.op == RdmaOp::Write) {
@@ -331,16 +276,16 @@ RdmaInitiator::issue(Pending p)
         else
             req.data = std::move(p.data);
     }
-    const std::uint64_t id = RdmaTarget::registerRequest(std::move(req));
     if (recoveryTimeout_) {
         const Tick delay =
             recoveryTimeout_ << std::min<std::uint32_t>(p.attempts, 4);
         p.retryEv = eventq().scheduleDelta(
             delay, [this, id]() { onTimeout(id); }, "rdma-retry");
+        req.expires = now() + delay;
     }
-    const std::uint64_t frame =
-        (p.op == RdmaOp::Write ? p.len : 0) + rdmaHeaderBytes;
-    const std::uint32_t target = p.target;
+    Frame frame = makeFrame(
+        (p.op == RdmaOp::Write ? p.len : 0) + rdmaHeaderBytes, p.target,
+        std::move(req));
     pending_.emplace(id, std::move(p));
     // A dropped request never reaches the wire, but the bookkeeping
     // above stays intact so the timeout recovers it.
@@ -349,7 +294,7 @@ RdmaInitiator::issue(Pending p)
         reqsDropped_.inc();
         return;
     }
-    sw_.sendFrom(port_, frame, Switch::makeTag(target, id));
+    sw_.sendFrom(port_, std::move(frame));
 }
 
 void
@@ -364,9 +309,8 @@ RdmaInitiator::onTimeout(std::uint64_t id)
     if (p.attempts > maxRetries_ && abandonAfterRetries_) {
         // Give up like a real client: the request is lost (never
         // completed) rather than retried into a saturated wire
-        // forever. Its registry state is dead either way.
+        // forever.
         abandoned_.inc();
-        dropLedgerEntries(id);
         return;
     }
     ENZIAN_ASSERT(p.attempts <= maxRetries_,
@@ -374,35 +318,33 @@ RdmaInitiator::onTimeout(std::uint64_t id)
                   "(livelock?)",
                   static_cast<unsigned long long>(id), p.attempts - 1);
     retries_.inc();
-    // Abandon the old wire id entirely: whatever the ledgers still
-    // hold for it is dead, and any late completion is detectably
-    // stale. The retry runs under a fresh id so a slow serve of the
-    // old attempt can never satisfy (or corrupt) the new one.
-    dropLedgerEntries(id);
+    // The old attempt is dead: a target still holding it drops it as
+    // expired, and a late completion finds no pending entry. The
+    // retry runs under a fresh id so a slow serve of the old attempt
+    // can never satisfy (or corrupt) the new one.
     issue(std::move(p));
 }
 
 void
-RdmaInitiator::onFrame(Tick when, std::uint64_t, std::uint64_t user)
+RdmaInitiator::onFrame(Tick when, Frame &&frame)
 {
-    const std::uint64_t id = user;
-    auto it = pending_.find(id);
+    auto &rsp = frame.body.get<RdmaTarget::WireRequest>();
+    auto it = pending_.find(rsp.id);
     if (it == pending_.end() && recoveryTimeout_) {
         // A late completion of an attempt we already abandoned.
         staleCompletions_.inc();
-        responseLedger().erase(id);
         return;
     }
     ENZIAN_ASSERT(it != pending_.end(),
                   "RDMA completion for unknown %llu",
-                  static_cast<unsigned long long>(id));
+                  static_cast<unsigned long long>(rsp.id));
     Pending p = std::move(it->second);
     pending_.erase(it);
     eventq().cancel(p.retryEv);
     if (p.dst) {
-        auto rsp = responseLedger().take(id);
-        ENZIAN_ASSERT(rsp, "read completion without payload");
-        std::memcpy(p.dst, rsp->data(), rsp->size());
+        ENZIAN_ASSERT(rsp.data.size() == p.len,
+                      "read completion without payload");
+        std::memcpy(p.dst, rsp.data.data(), rsp.data.size());
     }
     ENZIAN_SPAN(name(), "req", p.issued, when);
     ENZIAN_FLOW_STEP(name(), "req", when, p.flowId);

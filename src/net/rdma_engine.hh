@@ -159,29 +159,34 @@ class RdmaTarget : public SimObject
     }
 
     /**
-     * @internal wire record shared with initiators (same process).
-     * The process-wide ledger behind it is thread-safe, so initiators
-     * and targets may live in different timing domains; ids are
-     * allocated from one atomic counter, so engines never collide.
+     * The body of an RDMA frame. A request travels to the target in
+     * it, and the target sends the same record back as the response,
+     * carrying the read data.
      */
     struct WireRequest
     {
-        RdmaOp op;
-        Addr off;
-        std::uint64_t len;
-        std::uint32_t srcPort;
-        std::vector<std::uint8_t> data; // write payload
-        std::function<void(Tick, std::vector<std::uint8_t>)> complete;
+        RdmaOp op = RdmaOp::Read;
+        Addr off = 0;
+        std::uint64_t len = 0;
+        std::uint32_t srcPort = 0;
+        /** Attempt id, unique per initiator; a retry gets a new one. */
+        std::uint64_t id = 0;
+        /**
+         * Tick at which this attempt's retry timer fires (kMaxTick
+         * without recovery). A target that gets to the request at or
+         * after it drops it as stale: by then the initiator has
+         * abandoned the attempt.
+         */
+        Tick expires = kMaxTick;
+        std::vector<std::uint8_t> data; // write payload / read result
         /** Causal flow id of the serving request (0 = untraced). */
         std::uint64_t flowId = 0;
     };
 
-    /** Register an incoming request's metadata (initiator side). */
-    static std::uint64_t registerRequest(WireRequest req);
-
   private:
-    void onFrame(Tick when, std::uint64_t payload, std::uint64_t user);
-    void serve(std::uint64_t req_id);
+    void serve(WireRequest &&wr);
+    /** Send @p req, holding any read data, back as the response. */
+    void respond(WireRequest &&req);
 
     Switch &sw_;
     MemoryPath &mem_;
@@ -229,8 +234,8 @@ class RdmaInitiator : public SimObject
     /**
      * Arm timeout-based recovery: an unanswered request is abandoned
      * after @p timeout_us (with exponential backoff per attempt) and
-     * re-issued under a FRESH wire id, so a late completion of the old
-     * attempt can never be mistaken for the retry's. Must be enabled
+     * re-issued under a FRESH attempt id, so a late completion of the
+     * old attempt can never be mistaken for the retry's. Must be enabled
      * before faults are injected anywhere on the RDMA path.
      *
      * Exhausting @p max_retries panics by default (the chaos runs
@@ -280,8 +285,8 @@ class RdmaInitiator : public SimObject
         Tick issued = 0;
     };
 
-    void onFrame(Tick when, std::uint64_t payload, std::uint64_t user);
-    /** Register the wire request for @p p and put it on the wire. */
+    void onFrame(Tick when, Frame &&frame);
+    /** Put @p p on the wire as a new attempt. */
     void issue(Pending p);
     void onTimeout(std::uint64_t id);
 
@@ -289,6 +294,8 @@ class RdmaInitiator : public SimObject
     std::uint32_t port_;
     std::uint32_t targetPort_;
     std::unordered_map<std::uint64_t, Pending> pending_;
+    /** Next attempt id. */
+    std::uint64_t nextId_ = 1;
     /** Retry timeout (0 = recovery off, the default). */
     Tick recoveryTimeout_ = 0;
     std::uint32_t maxRetries_ = 12;

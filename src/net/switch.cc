@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "base/logging.hh"
 #include "sim/domain_scheduler.hh"
 
 namespace enzian::net {
@@ -39,18 +40,14 @@ Switch::Switch(std::string name, EventQueue &eq, std::uint32_t ports,
         // Side 1 of each port link faces the switch fabric: forward
         // arriving frames to the destination port after the
         // store-and-forward delay.
-        ports_[i]->setReceiver(
-            1, [this](Tick, std::uint64_t payload, std::uint64_t tag) {
-                const std::uint32_t dst = dstOf(tag);
-                ENZIAN_ASSERT(dst < ports_.size(),
-                              "frame for unknown port %u", dst);
-                eventq().scheduleDelta(
-                    units::ns(cfg_.forward_ns),
-                    [this, dst, payload, tag]() {
-                        ports_[dst]->send(1, payload, tag);
-                    },
-                    "switch-forward");
-            });
+        ports_[i]->setReceiver(1, [this](Tick, Frame &&frame) {
+            ENZIAN_ASSERT(frame.dst < ports_.size(),
+                          "frame for unknown port %u", frame.dst);
+            fabric_.push(std::move(frame));
+            eventq().scheduleDelta(units::ns(cfg_.forward_ns),
+                                   [this]() { forwardNext(); },
+                                   "switch-forward");
+        });
     }
 }
 
@@ -91,11 +88,18 @@ Switch::setEndpoint(std::uint32_t port_no, EthernetLink::Handler h)
     ports_.at(port_no)->setReceiver(0, std::move(h));
 }
 
-Tick
-Switch::sendFrom(std::uint32_t port_no, std::uint64_t payload,
-                 std::uint64_t tag)
+void
+Switch::forwardNext()
 {
-    return ports_.at(port_no)->send(0, payload, tag);
+    Frame frame = fabric_.pop();
+    const std::uint32_t dst = frame.dst;
+    ports_[dst]->send(1, std::move(frame));
+}
+
+Tick
+Switch::sendFrom(std::uint32_t port_no, Frame frame)
+{
+    return ports_.at(port_no)->send(0, std::move(frame));
 }
 
 } // namespace enzian::net

@@ -5,8 +5,7 @@
  * The TCP experiment in the paper connects two Enzian FPGAs "through
  * their FPGA-side 100 Gb/s Ethernet links via a conventional network
  * switch" (section 5.2). Endpoints attach via EthernetLinks; the
- * destination port rides in the high byte of the message tag (use
- * makeTag / dstOf / userOf).
+ * switch routes each frame on its Frame::dst port.
  */
 
 #ifndef ENZIAN_NET_SWITCH_HH
@@ -15,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "base/logging.hh"
+#include "base/ring_fifo.hh"
 #include "net/ethernet.hh"
 
 namespace enzian::net {
@@ -41,35 +40,6 @@ class Switch : public SimObject
 
     Switch(std::string name, EventQueue &eq, std::uint32_t ports,
            const Config &cfg);
-
-    /**
-     * Compose a message tag addressed to @p dst_port. The tag packs
-     * dst into bits [56,64) and the user value below; both must fit —
-     * a 300-port rack or a user value spilling into the top byte
-     * would otherwise silently misroute.
-     */
-    static std::uint64_t
-    makeTag(std::uint32_t dst_port, std::uint64_t user)
-    {
-        ENZIAN_ASSERT(dst_port < (1u << 8),
-                      "switch tag dst %u overflows the 8-bit port "
-                      "field",
-                      dst_port);
-        ENZIAN_ASSERT(user < (1ull << 56),
-                      "switch tag user value 0x%llx overflows 56 bits",
-                      static_cast<unsigned long long>(user));
-        return (static_cast<std::uint64_t>(dst_port) << 56) | user;
-    }
-    /** Destination port of a tag. */
-    static std::uint32_t dstOf(std::uint64_t tag)
-    {
-        return static_cast<std::uint32_t>(tag >> 56);
-    }
-    /** User part of a tag. */
-    static std::uint64_t userOf(std::uint64_t tag)
-    {
-        return tag & 0x00ffffffffffffffull;
-    }
 
     /**
      * The link for @p port; the endpoint is side 0, the switch side 1.
@@ -99,9 +69,8 @@ class Switch : public SimObject
      */
     static Tick minCrossLatency(const Config &cfg, std::uint32_t ports);
 
-    /** Send from @p port_no through the switch (tag carries dst). */
-    Tick sendFrom(std::uint32_t port_no, std::uint64_t payload,
-                  std::uint64_t tag);
+    /** Send @p frame from @p port_no to port @p frame.dst. */
+    Tick sendFrom(std::uint32_t port_no, Frame frame);
 
     std::uint32_t portCount() const
     {
@@ -109,8 +78,17 @@ class Switch : public SimObject
     }
 
   private:
+    /** Send the oldest frame in the fabric out of its port. */
+    void forwardNext();
+
     Config cfg_;
     std::vector<std::unique_ptr<EthernetLink>> ports_;
+    /**
+     * Frames inside the fabric. All ports deliver into the switch's
+     * own queue and the forwarding delay is fixed, so frames leave in
+     * arrival order and the forward event captures only `this`.
+     */
+    RingFifo<Frame> fabric_;
 };
 
 } // namespace enzian::net

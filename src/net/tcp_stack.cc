@@ -13,43 +13,6 @@
 
 namespace enzian::net {
 
-namespace {
-
-/**
- * Sequenced segments carry a 32-bit wire id in the frame user field;
- * the id resolves to the (seq, len) pair here. Entries are erased on
- * delivery; fault-dropped segments are never registered, so the
- * registry only ever holds frames in flight.
- */
-struct WireSeg
-{
-    std::uint64_t seq;
-    std::uint64_t len; // 0 for cumulative acks (seq = ack point)
-};
-
-std::uint32_t g_next_seg_id = 1;
-std::unordered_map<std::uint32_t, WireSeg> g_segs;
-
-std::uint32_t
-registerSeg(std::uint64_t seq, std::uint64_t len)
-{
-    const std::uint32_t id = g_next_seg_id++;
-    g_segs.emplace(id, WireSeg{seq, len});
-    return id;
-}
-
-WireSeg
-takeSeg(std::uint32_t id)
-{
-    auto it = g_segs.find(id);
-    ENZIAN_ASSERT(it != g_segs.end(), "unknown wire segment %u", id);
-    WireSeg seg = it->second;
-    g_segs.erase(it);
-    return seg;
-}
-
-} // namespace
-
 TcpStack::TcpStack(std::string name, EventQueue &eq, Switch &sw,
                    const Config &cfg)
     : SimObject(std::move(name), eq), sw_(sw), cfg_(cfg),
@@ -57,11 +20,9 @@ TcpStack::TcpStack(std::string name, EventQueue &eq, Switch &sw,
 {
     if (cfg_.mss == 0)
         fatal("TCP stack '%s': zero MSS", SimObject::name().c_str());
-    sw_.setEndpoint(cfg_.port,
-                    [this](Tick when, std::uint64_t payload,
-                           std::uint64_t tag) {
-                        onFrame(when, payload, Switch::userOf(tag));
-                    });
+    sw_.setEndpoint(cfg_.port, [this](Tick, Frame &&frame) {
+        onFrame(std::move(frame));
+    });
     stats().addCounter("segments_tx", &segsTx_);
     stats().addCounter("segments_rx", &segsRx_);
     stats().addCounter("bytes_tx", &bytesTx_);
@@ -196,38 +157,42 @@ TcpStack::pump(std::uint32_t flow_id)
             xmitData(flow_id, f, seq, seg);
             armRto(flow_id);
         } else {
-            sw_.sendFrom(cfg_.port, seg + tcpHeaderBytes,
-                         Switch::makeTag(f.remotePort,
-                                         makeUser(kindData, flow_id,
-                                                  seg)));
+            sendSeg(f.remotePort, seg + tcpHeaderBytes,
+                    TcpSeg{kindData, flow_id, 0, seg});
         }
     }
+}
+
+void
+TcpStack::sendSeg(std::uint32_t dst, std::uint64_t bytes, TcpSeg seg)
+{
+    static_assert(Payload::storedInline<TcpSeg>(),
+                  "a TCP segment must cross the wire without allocating");
+    sw_.sendFrom(cfg_.port, makeFrame(bytes, dst, seg));
 }
 
 void
 TcpStack::xmitData(std::uint32_t flow_id, Flow &f, std::uint64_t seq,
                    std::uint64_t len)
 {
-    // The drop decision comes first so a lost segment never enters
-    // the wire registry.
     if (faultRng_ && dropProb_ > 0.0 && faultRng_->chance(dropProb_)) {
         segsDropped_.inc();
         return;
     }
-    const std::uint32_t id = registerSeg(seq, len);
-    const std::uint64_t tag = Switch::makeTag(
-        f.remotePort, makeUser(kindDataSeq, flow_id, id));
-    const std::uint64_t frame = len + tcpHeaderBytes;
+    const TcpSeg seg{kindDataSeq, flow_id, seq, len};
+    const std::uint32_t dst = f.remotePort;
     if (faultRng_ && reorderProb_ > 0.0 &&
         faultRng_->chance(reorderProb_)) {
         segsReordered_.inc();
         eventq().scheduleDelta(
             reorderDelay_,
-            [this, frame, tag]() { sw_.sendFrom(cfg_.port, frame, tag); },
+            [this, dst, seg]() {
+                sendSeg(dst, seg.len + tcpHeaderBytes, seg);
+            },
             "tcp-reorder");
         return;
     }
-    sw_.sendFrom(cfg_.port, frame, tag);
+    sendSeg(dst, len + tcpHeaderBytes, seg);
 }
 
 void
@@ -238,10 +203,8 @@ TcpStack::sendCumAck(std::uint32_t flow_id, Flow &f)
         segsDropped_.inc();
         return;
     }
-    const std::uint32_t id = registerSeg(f.rxExpected, 0);
-    sw_.sendFrom(cfg_.port, tcpHeaderBytes,
-                 Switch::makeTag(f.remotePort,
-                                 makeUser(kindAckSeq, flow_id, id)));
+    sendSeg(f.remotePort, tcpHeaderBytes,
+            TcpSeg{kindAckSeq, flow_id, f.rxExpected, 0});
 }
 
 void
@@ -278,28 +241,24 @@ TcpStack::onRto(std::uint32_t flow_id)
 }
 
 void
-TcpStack::onFrame(Tick when, std::uint64_t payload, std::uint64_t user)
+TcpStack::onFrame(Frame &&frame)
 {
-    (void)payload;
-    const std::uint64_t kind = user >> 52;
-    const auto flow_id = static_cast<std::uint32_t>(
-        (user >> 32) & 0xfffff);
-    const std::uint64_t len = user & 0xffffffffull;
-    (void)when;
-    if (kind == kindData) {
-        onData(flow_id, len);
-    } else if (kind == kindAck) {
-        onAck(flow_id, len);
-    } else if (kind == kindDataSeq) {
-        const WireSeg seg = takeSeg(static_cast<std::uint32_t>(len));
-        onDataSeq(flow_id, seg.seq, seg.len);
-    } else if (kind == kindAckSeq) {
-        const WireSeg seg = takeSeg(static_cast<std::uint32_t>(len));
-        onAckSeq(flow_id, seg.seq);
-    } else {
-        panic("TCP frame with bad kind %llu",
-              static_cast<unsigned long long>(kind));
+    const TcpSeg &seg = frame.body.get<TcpSeg>();
+    switch (seg.kind) {
+      case kindData:
+        onData(seg.flow, seg.len);
+        return;
+      case kindAck:
+        onAck(seg.flow, seg.len);
+        return;
+      case kindDataSeq:
+        onDataSeq(seg.flow, seg.seq, seg.len);
+        return;
+      case kindAckSeq:
+        onAckSeq(seg.flow, seg.seq);
+        return;
     }
+    panic("TCP frame with bad kind %u", seg.kind);
 }
 
 void
@@ -395,10 +354,8 @@ TcpStack::onData(std::uint32_t flow_id, std::uint64_t len)
         [this, flow_id, len]() {
             Flow &fl = flows_.at(flow_id);
             fl.received += len;
-            sw_.sendFrom(cfg_.port, tcpHeaderBytes,
-                         Switch::makeTag(fl.remotePort,
-                                         makeUser(kindAck, flow_id,
-                                                  len)));
+            sendSeg(fl.remotePort, tcpHeaderBytes,
+                    TcpSeg{kindAck, flow_id, 0, len});
             if (receiveCb_) {
                 // The application sees the data after the app-path
                 // latency (DMA/notification).

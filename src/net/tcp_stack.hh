@@ -163,25 +163,30 @@ class TcpStack : public SimObject
     };
 
     /** Message kinds on the wire. */
-    enum : std::uint64_t {
+    enum : std::uint8_t {
         kindData = 1,
         kindAck = 2,
-        /** Sequenced variants (reliable mode); the 32-bit field is a
-         *  wire-segment id resolving to (seq, len). */
+        /** Sequenced variants (reliable mode). */
         kindDataSeq = 3,
         kindAckSeq = 4,
     };
 
-    static std::uint64_t
-    makeUser(std::uint64_t kind, std::uint32_t flow, std::uint64_t len)
+    /** The body of every TCP frame. */
+    struct TcpSeg
     {
-        return (kind << 52) | (static_cast<std::uint64_t>(flow) << 32) |
-               (len & 0xffffffffull);
-    }
+        std::uint8_t kind = kindData;
+        std::uint32_t flow = 0;
+        /** Sequenced kinds: first byte (data) or cumulative ack. */
+        std::uint64_t seq = 0;
+        /** Data length, or bytes acked by a plain ack. */
+        std::uint64_t len = 0;
+    };
 
+    /** Put @p seg on the wire in a frame of @p bytes to @p dst. */
+    void sendSeg(std::uint32_t dst, std::uint64_t bytes, TcpSeg seg);
     void pump(std::uint32_t flow_id);
     void schedulePump(std::uint32_t flow_id, Tick when);
-    void onFrame(Tick when, std::uint64_t payload, std::uint64_t tag);
+    void onFrame(Frame &&frame);
     void onData(std::uint32_t flow_id, std::uint64_t len);
     void onAck(std::uint32_t flow_id, std::uint64_t len);
 

@@ -16,8 +16,8 @@
  * no atomics are needed anywhere):
  *
  *   1. source thread, during an epoch: push() pops a slot from the
- *      free list, copies the payload in, and appends an entry to the
- *      channel.
+ *      free list, copies or moves the payload in, and appends an
+ *      entry to the channel.
  *   2. coordinator, at the barrier: the channel drain calls forward(),
  *      which schedules the inline delivery closure into the
  *      destination queue.
@@ -67,8 +67,8 @@ class ChannelLaneBase
 
 /**
  * Slot-arena lane for payload type @p T (see file comment). T must be
- * copy-assignable and default-constructible; the handler runs in the
- * destination domain.
+ * default-constructible and copy- or move-assignable; the handler
+ * runs in the destination domain.
  */
 template <typename T>
 class ChannelLane final : public ChannelLaneBase
@@ -106,6 +106,15 @@ class ChannelLane final : public ChannelLaneBase
     {
         const std::uint32_t idx = acquire();
         slot(idx) = value;
+        chan_->pushLane(when, id_, idx);
+    }
+
+    /** As push(when, const T &), moving @p value into the slot. */
+    void
+    push(Tick when, T &&value)
+    {
+        const std::uint32_t idx = acquire();
+        slot(idx) = std::move(value);
         chan_->pushLane(when, id_, idx);
     }
 

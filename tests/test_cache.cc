@@ -12,6 +12,15 @@
 #include "cache/moesi.hh"
 
 namespace enzian::cache {
+
+// Names each state pair case after the states; gtest would otherwise
+// print them as raw bytes.
+void
+PrintTo(MoesiState s, std::ostream *os)
+{
+    *os << toString(s);
+}
+
 namespace {
 
 Cache::Config

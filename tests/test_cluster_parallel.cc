@@ -4,8 +4,8 @@
  * (thread-count determinism down to the registry bytes), the
  * replicated KV store (read-your-writes, nearest-replica reads,
  * recovery under RDMA request drops), and regressions for the
- * cluster-layer bug purge (two servers in one process, switch tag
- * overflow, out-of-bounds pushdown predicates).
+ * cluster-layer bug purge (two servers in one process, frames for
+ * unknown switch ports, out-of-bounds pushdown predicates).
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +15,14 @@
 #include <functional>
 #include <sstream>
 
+#include "accel/kv_store.hh"
 #include "base/rng.hh"
 #include "cluster/disagg_memory.hh"
 #include "cluster/eci_bridge.hh"
 #include "cluster/enzian_cluster.hh"
 #include "cluster/replicated_kv.hh"
+#include "net/rdma_engine.hh"
+#include "net/tcp_stack.hh"
 #include "obs/registry.hh"
 
 namespace enzian::cluster {
@@ -35,6 +38,14 @@ patternFor(std::uint64_t key)
     for (std::size_t i = 0; i < v.size(); ++i)
         v[i] = static_cast<std::uint8_t>(key * 41 + i);
     return v;
+}
+
+std::string
+registryJson()
+{
+    std::ostringstream os;
+    obs::Registry::global().exportJson(os);
+    return os.str();
 }
 
 /** Completion-tick traces + registry bytes of a rack KV workload. */
@@ -90,9 +101,7 @@ rackKvWorkload(std::uint32_t threads)
 
     for (const auto &t : trace)
         out.ticks.insert(out.ticks.end(), t.begin(), t.end());
-    std::ostringstream os;
-    obs::Registry::global().exportJson(os);
-    out.registryJson = os.str();
+    out.registryJson = registryJson();
     return out;
 }
 
@@ -119,6 +128,229 @@ TEST(ClusterParallel, DomainModeMatchesLegacyTicks)
     const auto domain = rackKvWorkload(1);
     EXPECT_EQ(legacy.ticks, domain.ticks);
     EXPECT_EQ(legacy.values, domain.values);
+}
+
+/**
+ * Registry bytes without the domain scheduler's own statistics,
+ * which exist only outside legacy mode.
+ */
+std::string
+modelRegistryJson()
+{
+    auto snap = obs::Registry::global().snapshot();
+    std::erase_if(snap, [](const auto &kv) {
+        return kv.first.starts_with("rack.sched.");
+    });
+    std::ostringstream os;
+    obs::Registry::exportJson(snap, os);
+    return os.str();
+}
+
+/** Outcome of an RDMA read whose first attempt expires unserved. */
+struct AbandonRun
+{
+    std::string registryJson;
+    std::string modelJson;
+    std::vector<std::uint8_t> got;
+    std::uint64_t stale = 0;
+    std::uint64_t retries = 0;
+};
+
+AbandonRun
+rdmaAbandonWorkload(std::uint32_t threads)
+{
+    EnzianCluster::Config cfg;
+    cfg.nodes = 2;
+    cfg.threads = threads;
+    EnzianCluster rack(cfg);
+    auto &host = rack.node(1);
+    net::DirectDramPath path(host.fpgaMem());
+    net::RdmaTarget::Config tcfg;
+    tcfg.port = rack.portOf(1);
+    // Parsing outlasts the initiator's 10 us timeout, so the first
+    // attempt has expired by the time the target gets to it; the
+    // retry's doubled timeout leaves room to serve it.
+    tcfg.request_proc_ns = 15000.0;
+    net::RdmaTarget target("abandon.target", host.fpgaEventq(),
+                           rack.network(), path, tcfg);
+    net::RdmaInitiator init("abandon.init", rack.node(0).fpgaEventq(),
+                            rack.network(), rack.portOf(0),
+                            rack.portOf(1));
+    init.enableRecovery(10.0);
+
+    const auto want = patternFor(3);
+    host.fpgaMem().store().write(0x4000, want.data(), want.size());
+    AbandonRun out;
+    out.got.assign(want.size(), 0);
+    bool done = false;
+    init.read(0x4000, out.got.data(), out.got.size(),
+              [&](Tick) { done = true; });
+    rack.run();
+    EXPECT_TRUE(done);
+    out.stale = target.staleRequests();
+    out.retries = init.retriesSent();
+    out.registryJson = registryJson();
+    out.modelJson = modelRegistryJson();
+    return out;
+}
+
+TEST(ClusterParallel, RdmaAbandonmentIsDeterministic)
+{
+    // Whether the target finds an abandoned attempt is decided by
+    // simulated time (the attempt's expiry tick), not by which domain
+    // thread ran first.
+    const auto legacy = rdmaAbandonWorkload(0);
+    const auto t1 = rdmaAbandonWorkload(1);
+    const auto t4 = rdmaAbandonWorkload(4);
+    EXPECT_GE(legacy.stale, 1u);
+    EXPECT_GE(legacy.retries, 1u);
+    EXPECT_EQ(legacy.got, patternFor(3));
+    EXPECT_EQ(t1.got, patternFor(3));
+    EXPECT_EQ(t4.got, patternFor(3));
+    EXPECT_FALSE(legacy.modelJson.empty());
+    EXPECT_EQ(legacy.modelJson, t1.modelJson);
+    EXPECT_EQ(t1.registryJson, t4.registryJson);
+}
+
+constexpr std::uint32_t kKvOps = 16;
+
+std::vector<std::uint8_t>
+kvValue(std::uint32_t pair, std::uint32_t op)
+{
+    return std::vector<std::uint8_t>(
+        40, static_cast<std::uint8_t>(pair * kKvOps + op));
+}
+
+/** What each wire service delivered, plus the registry bytes. */
+struct WireServicesRun
+{
+    std::array<std::uint64_t, 2> tcpBytes{};
+    std::array<std::uint32_t, 2> kvVerified{};
+    std::array<std::vector<std::uint8_t>, 2> rdmaValues;
+    std::string registryJson;
+};
+
+WireServicesRun
+wireServicesWorkload(std::uint32_t threads)
+{
+    // Two pairs of each wire service, every endpoint on its own
+    // node's FPGA domain, so under threads=4 both ends of every pair
+    // and the two pairs run on different threads at once.
+    EnzianCluster::Config cfg;
+    cfg.nodes = 4;
+    cfg.threads = threads;
+    EnzianCluster rack(cfg);
+    net::Switch &sw = rack.network();
+    auto fq = [&](std::uint32_t n) -> EventQueue & {
+        return rack.node(n).fpgaEventq();
+    };
+    WireServicesRun out;
+
+    // TCP: node 0 -> node 1 and node 2 -> node 3, on link 0, in the
+    // sequenced format, whose data and ack frames all carry a record.
+    constexpr std::uint64_t kTcpBytes = 200 * 1024;
+    std::vector<std::unique_ptr<net::TcpStack>> tcp;
+    for (std::uint32_t n = 0; n < 4; ++n) {
+        tcp.push_back(std::make_unique<net::TcpStack>(
+            "wire.tcp" + std::to_string(n), fq(n), sw,
+            net::fpgaTcpConfig(rack.portOf(n, 0), 250e6)));
+        tcp.back()->enableReliable();
+    }
+    std::array<std::uint32_t, 2> flows{};
+    for (std::uint32_t p = 0; p < 2; ++p) {
+        flows[p] = tcp[2 * p]->connect(*tcp[2 * p + 1]);
+        tcp[2 * p]->send(flows[p], kTcpBytes, net::TcpStack::Done());
+    }
+
+    // Accelerator KV: servers on nodes 1 and 3, clients on 2 and 0.
+    std::vector<std::unique_ptr<accel::KvStoreServer>> kvServers;
+    std::vector<std::unique_ptr<accel::KvClient>> kvClients;
+    constexpr std::uint32_t kKvServer[] = {1, 3}, kKvClient[] = {2, 0};
+    for (std::uint32_t p = 0; p < 2; ++p) {
+        const std::uint32_t srv = kKvServer[p], cli = kKvClient[p];
+        accel::KvStoreServer::Config kcfg;
+        kcfg.port = rack.portOf(srv, 1);
+        kcfg.slots = 1024;
+        kvServers.push_back(std::make_unique<accel::KvStoreServer>(
+            "wire.kvs" + std::to_string(p), fq(srv), sw,
+            rack.node(srv).fpgaMem(), kcfg));
+        kvClients.push_back(std::make_unique<accel::KvClient>(
+            "wire.kvc" + std::to_string(p), fq(cli), sw,
+            rack.portOf(cli, 1), kcfg.port));
+    }
+    // Each client runs kKvOps put-then-get rounds back to back.
+    std::array<std::function<void(std::uint32_t)>, 2> kvStep;
+    for (std::uint32_t p = 0; p < 2; ++p) {
+        kvStep[p] = [&, p](std::uint32_t i) {
+            if (i == kKvOps)
+                return;
+            const std::uint64_t key = 100 + p * kKvOps + i;
+            const auto value = kvValue(p, i);
+            kvClients[p]->put(
+                key, value.data(),
+                static_cast<std::uint32_t>(value.size()),
+                [&, p, i, key](Tick, bool ok) {
+                    EXPECT_TRUE(ok);
+                    kvClients[p]->get(
+                        key, [&, p, i](Tick, bool found,
+                                       std::vector<std::uint8_t> v) {
+                            if (found && v == kvValue(p, i))
+                                ++out.kvVerified[p];
+                            kvStep[p](i + 1);
+                        });
+                });
+        };
+        kvStep[p](0);
+    }
+
+    // RDMA: targets on nodes 2 and 0, initiators on 3 and 1.
+    std::vector<std::unique_ptr<net::DirectDramPath>> paths;
+    std::vector<std::unique_ptr<net::RdmaTarget>> targets;
+    std::vector<std::unique_ptr<net::RdmaInitiator>> inits;
+    constexpr std::uint32_t kTarget[] = {2, 0}, kInitiator[] = {3, 1};
+    for (std::uint32_t p = 0; p < 2; ++p) {
+        const std::uint32_t tgt = kTarget[p], ini = kInitiator[p];
+        net::RdmaTarget::Config tcfg;
+        tcfg.port = rack.portOf(tgt, 2);
+        paths.push_back(std::make_unique<net::DirectDramPath>(
+            rack.node(tgt).fpgaMem()));
+        targets.push_back(std::make_unique<net::RdmaTarget>(
+            "wire.rdmat" + std::to_string(p), fq(tgt), sw, *paths[p],
+            tcfg));
+        inits.push_back(std::make_unique<net::RdmaInitiator>(
+            "wire.rdmai" + std::to_string(p), fq(ini), sw,
+            rack.portOf(ini, 2), tcfg.port));
+    }
+    for (std::uint32_t p = 0; p < 2; ++p) {
+        const auto value = patternFor(p);
+        net::RdmaInitiator &ini = *inits[p];
+        out.rdmaValues[p].assign(value.size(), 0);
+        ini.write(0x8000, value.data(), value.size(),
+                  [&out, &ini, p](Tick) {
+                      ini.read(0x8000, out.rdmaValues[p].data(),
+                               out.rdmaValues[p].size(), [](Tick) {});
+                  });
+    }
+
+    rack.run();
+    for (std::uint32_t p = 0; p < 2; ++p)
+        out.tcpBytes[p] = tcp[2 * p + 1]->bytesReceived(flows[p]);
+    out.registryJson = registryJson();
+    return out;
+}
+
+TEST(ClusterParallel, WireServicesOnSeparateDomainThreads)
+{
+    const auto t1 = wireServicesWorkload(1);
+    const auto t4 = wireServicesWorkload(4);
+    for (const auto *run : {&t1, &t4}) {
+        for (std::uint32_t p = 0; p < 2; ++p) {
+            EXPECT_EQ(run->tcpBytes[p], 200u * 1024);
+            EXPECT_EQ(run->kvVerified[p], kKvOps);
+            EXPECT_EQ(run->rdmaValues[p], patternFor(p));
+        }
+    }
+    EXPECT_EQ(t1.registryJson, t4.registryJson);
 }
 
 TEST(ClusterParallel, LookaheadIsDerivedFromTopology)
@@ -251,8 +483,8 @@ TEST(ReplicatedKv, ReadYourWritesUnderRdmaRequestDrops)
 
 TEST(ClusterRegression, TwoDisaggServersInOneProcess)
 {
-    // Before the wire ledgers became instance-owned, every server in
-    // the process shared one file-scope request/response map.
+    // Two servers in one process, written at the same offsets, keep
+    // their data apart.
     EnzianCluster::Config cfg;
     cfg.nodes = 4;
     EnzianCluster rack(cfg);
@@ -288,15 +520,13 @@ TEST(ClusterRegression, TwoDisaggServersInOneProcess)
     ASSERT_EQ(reads, 2);
     EXPECT_EQ(ra, da);
     EXPECT_EQ(rb, db);
-    EXPECT_EQ(srvA.requestsInFlight(), 0u);
-    EXPECT_EQ(srvB.requestsInFlight(), 0u);
 }
 
 TEST(ClusterRegression, TwoCoherenceBridgesInOneProcess)
 {
     // Symmetric bridging: each node exports its CPU memory to the
-    // other. Two targets + two sources share the process; their op
-    // ledgers must not cross.
+    // other. Two targets + two sources share the process; their ops
+    // must not cross.
     EnzianCluster::Config cfg;
     cfg.nodes = 2;
     EnzianCluster rack(cfg);
@@ -345,16 +575,22 @@ TEST(ClusterRegression, TwoCoherenceBridgesInOneProcess)
     EXPECT_EQ(std::memcmp(fromA, da.data(), cache::lineSize), 0);
     EXPECT_EQ(srcOnA.linesBridged(), 1u);
     EXPECT_EQ(srcOnB.linesBridged(), 1u);
-    EXPECT_EQ(targetA.opsInFlight(), 0u);
-    EXPECT_EQ(targetB.opsInFlight(), 0u);
 }
 
-TEST(ClusterRegressionDeath, SwitchTagOverflowIsFatal)
+TEST(ClusterRegressionDeath, FrameForUnknownPortIsFatal)
 {
-    // makeTag used to silently truncate both fields into each other.
-    EXPECT_EQ(net::Switch::makeTag(255, (1ull << 56) - 1) >> 56, 255u);
-    EXPECT_DEATH(net::Switch::makeTag(256, 0), "overflow");
-    EXPECT_DEATH(net::Switch::makeTag(0, 1ull << 56), "overflow");
+    // A frame addressed past the last port must stop the run, not
+    // vanish or land on some other port.
+    EnzianCluster::Config cfg;
+    cfg.nodes = 2;
+    EnzianCluster rack(cfg);
+    net::Switch &sw = rack.network();
+    EXPECT_DEATH(
+        {
+            sw.sendFrom(rack.portOf(0), net::Frame{64, sw.portCount(), {}});
+            rack.eventq().run();
+        },
+        "unknown port");
 }
 
 TEST(ClusterRegressionDeath, OutOfBoundsPredicateIsFatal)

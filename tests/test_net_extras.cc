@@ -110,15 +110,14 @@ TEST(SwitchEdge, ManyPortsAllToAll)
     Switch sw("sw", eq, 6, switchConfig());
     int received[6] = {};
     for (std::uint32_t p = 0; p < 6; ++p) {
-        sw.setEndpoint(p, [&received, p](Tick, std::uint64_t,
-                                         std::uint64_t) {
+        sw.setEndpoint(p, [&received, p](Tick, Frame &&) {
             ++received[p];
         });
     }
     for (std::uint32_t s = 0; s < 6; ++s)
         for (std::uint32_t d = 0; d < 6; ++d)
             if (s != d)
-                sw.sendFrom(s, 256, Switch::makeTag(d, 0));
+                sw.sendFrom(s, Frame{256, d, {}});
     eq.run();
     for (int p = 0; p < 6; ++p)
         EXPECT_EQ(received[p], 5);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "net/rdma_engine.hh"
 #include "net/rnic_model.hh"
 #include "platform/enzian_machine.hh"
@@ -187,6 +189,78 @@ TEST(RdmaLatencyShape, DramFasterThanEciHostForSmallOps)
         return done_at;
     };
     EXPECT_LT(measure(true), measure(false));
+}
+
+TEST(RdmaRecovery, ServeAtExpiryIsStale)
+{
+    // The target drops a request iff it gets to it at or after the
+    // attempt's retry tick. On one queue the retry timer scheduled at
+    // issue runs first at that tick, so a serve landing exactly on it
+    // finds the attempt abandoned.
+    constexpr double kProcNs = 1000.0;
+    const Tick proc = units::ns(kProcNs);
+
+    // Arrival tick of a header-only request frame issued at 0.
+    Tick arrival = 0;
+    {
+        EventQueue eq;
+        Switch sw("probe", eq, 2, switchConfig());
+        sw.setEndpoint(0, [&](Tick t, Frame &&) { arrival = t; });
+        sw.setEndpoint(1, [](Tick, Frame &&) {});
+        sw.sendFrom(1, Frame{rdmaHeaderBytes, 0, {}});
+        eq.run();
+    }
+    ASSERT_GT(arrival, 0u);
+
+    struct Outcome
+    {
+        std::uint64_t stale, served, retries;
+        std::vector<std::uint8_t> got;
+    };
+    const auto data = pattern(256, 0x40);
+    // Run one read whose retry timer fires at serve + @p slack.
+    auto run = [&](Tick slack) {
+        const Tick timeout = arrival + proc + slack;
+        double timeout_us = static_cast<double>(timeout) / 1e6;
+        while (units::us(timeout_us) < timeout)
+            timeout_us = std::nextafter(timeout_us, 1e9);
+        EXPECT_EQ(units::us(timeout_us), timeout);
+
+        EventQueue eq;
+        Switch sw("sw", eq, 2, switchConfig());
+        mem::MemoryController mc("fpga.mem", eq, 64 << 20, 4,
+                                 platform::params::fpgaDramConfig());
+        mc.store().write(0x2000, data.data(), data.size());
+        DirectDramPath path(mc);
+        RdmaTarget::Config tcfg;
+        tcfg.request_proc_ns = kProcNs;
+        RdmaTarget target("target", eq, sw, path, tcfg);
+        RdmaInitiator init("init", eq, sw, 1, 0);
+        init.enableRecovery(timeout_us);
+        Outcome out{0, 0, 0, std::vector<std::uint8_t>(data.size())};
+        bool done = false;
+        init.read(0x2000, out.got.data(), out.got.size(),
+                  [&](Tick) { done = true; });
+        eq.run();
+        EXPECT_TRUE(done);
+        out.stale = target.staleRequests();
+        out.served = target.requestsServed();
+        out.retries = init.retriesSent();
+        return out;
+    };
+
+    const Outcome at = run(0);
+    EXPECT_EQ(at.stale, 1u);
+    EXPECT_EQ(at.retries, 1u);
+    EXPECT_EQ(at.served, 1u);
+    EXPECT_EQ(at.got, data);
+
+    // One tick earlier and the first attempt is served (its response
+    // still loses the race with the timer, so the retry is served too).
+    const Outcome before = run(1);
+    EXPECT_EQ(before.stale, 0u);
+    EXPECT_EQ(before.served, 2u);
+    EXPECT_EQ(before.got, data);
 }
 
 } // namespace

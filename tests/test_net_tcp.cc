@@ -33,15 +33,15 @@ TEST(EthernetLink, DeliversPayloadAndTag)
 {
     EventQueue eq;
     EthernetLink link("e", eq, platform::params::eth100Config());
-    std::uint64_t got_payload = 0, got_tag = 0;
-    link.setReceiver(1, [&](Tick, std::uint64_t p, std::uint64_t t) {
-        got_payload = p;
-        got_tag = t;
+    std::uint64_t got_bytes = 0, got_body = 0;
+    link.setReceiver(1, [&](Tick, Frame &&f) {
+        got_bytes = f.bytes;
+        got_body = f.body.get<std::uint64_t>();
     });
-    link.send(0, 5000, 0x1234);
+    link.send(0, makeFrame(5000, 0, std::uint64_t{0x1234}));
     eq.run();
-    EXPECT_EQ(got_payload, 5000u);
-    EXPECT_EQ(got_tag, 0x1234u);
+    EXPECT_EQ(got_bytes, 5000u);
+    EXPECT_EQ(got_body, 0x1234u);
 }
 
 TEST(EthernetLink, FrameOverheadShowsInTiming)
@@ -49,15 +49,15 @@ TEST(EthernetLink, FrameOverheadShowsInTiming)
     EventQueue eq;
     auto cfg = platform::params::eth100Config();
     EthernetLink link("e", eq, cfg);
-    link.setReceiver(1, [](Tick, std::uint64_t, std::uint64_t) {});
-    const Tick one = link.send(0, cfg.mtu, 0);
+    link.setReceiver(1, [](Tick, Frame &&) {});
+    const Tick one = link.send(0, Frame{cfg.mtu, 0, {}});
     // Same payload as many minimum fragments costs more wire time.
     EventQueue eq2;
     EthernetLink link2("e2", eq2, cfg);
-    link2.setReceiver(1, [](Tick, std::uint64_t, std::uint64_t) {});
+    link2.setReceiver(1, [](Tick, Frame &&) {});
     Tick many = 0;
     for (std::uint32_t i = 0; i < cfg.mtu / 64; ++i)
-        many = link2.send(0, 64, 0);
+        many = link2.send(0, Frame{64, 0, {}});
     EXPECT_GT(many, one);
 }
 
@@ -66,20 +66,26 @@ TEST(Switch, RoutesByTag)
     EventQueue eq;
     Switch sw("sw", eq, 3, switchConfig());
     std::uint64_t got_at_2 = 0;
-    sw.setEndpoint(1, [](Tick, std::uint64_t, std::uint64_t) {});
-    sw.setEndpoint(2, [&](Tick, std::uint64_t p, std::uint64_t) {
-        got_at_2 = p;
-    });
-    sw.sendFrom(0, 999, Switch::makeTag(2, 7));
+    sw.setEndpoint(1, [](Tick, Frame &&) {});
+    sw.setEndpoint(2, [&](Tick, Frame &&f) { got_at_2 = f.bytes; });
+    sw.sendFrom(0, Frame{999, 2, {}});
     eq.run();
     EXPECT_EQ(got_at_2, 999u);
 }
 
-TEST(Switch, TagCodec)
+TEST(Switch, DeliversToPort299Of300)
 {
-    const auto tag = Switch::makeTag(5, 0x00dead00beefull);
-    EXPECT_EQ(Switch::dstOf(tag), 5u);
-    EXPECT_EQ(Switch::userOf(tag), 0x00dead00beefull);
+    // A switch wider than 256 ports reaches its last port, body
+    // intact.
+    EventQueue eq;
+    Switch sw("sw", eq, 300, switchConfig());
+    std::uint64_t got = 0;
+    sw.setEndpoint(299, [&](Tick, Frame &&f) {
+        got = f.body.get<std::uint64_t>();
+    });
+    sw.sendFrom(0, makeFrame(64, 299, std::uint64_t{0xfeed}));
+    eq.run();
+    EXPECT_EQ(got, 0xfeedu);
 }
 
 class TcpFixture : public ::testing::Test

@@ -161,12 +161,13 @@ class BumpInWireTest : public ::testing::Test
 TEST_F(BumpInWireTest, FramesTraverseBothDirections)
 {
     std::uint64_t host_got = 0, net_got = 0;
-    host_link->setReceiver(1, [&](Tick, std::uint64_t p,
-                                  std::uint64_t) { host_got = p; });
-    net_link->setReceiver(0, [&](Tick, std::uint64_t p,
-                                 std::uint64_t) { net_got = p; });
-    net_link->send(0, 1500, 1); // from the network toward the host
-    host_link->send(1, 900, 2); // from the host toward the network
+    host_link->setReceiver(
+        1, [&](Tick, net::Frame &&f) { host_got = f.bytes; });
+    net_link->setReceiver(
+        0, [&](Tick, net::Frame &&f) { net_got = f.bytes; });
+    // From the network toward the host, and back.
+    net_link->send(0, net::Frame{1500, 0, {}});
+    host_link->send(1, net::Frame{900, 0, {}});
     eq.run();
     EXPECT_EQ(host_got, 1500u);
     EXPECT_EQ(net_got, 900u);
@@ -181,9 +182,9 @@ TEST_F(BumpInWireTest, InlineTransformChangesFrames)
         return to_host ? bytes / 4 : bytes * 4;
     });
     std::uint64_t host_got = 0;
-    host_link->setReceiver(1, [&](Tick, std::uint64_t p,
-                                  std::uint64_t) { host_got = p; });
-    net_link->send(0, 2000, 1);
+    host_link->setReceiver(
+        1, [&](Tick, net::Frame &&f) { host_got = f.bytes; });
+    net_link->send(0, net::Frame{2000, 0, {}});
     eq.run();
     EXPECT_EQ(host_got, 500u);
     EXPECT_EQ(biw->bytesIn(), 2000u);
@@ -192,21 +193,20 @@ TEST_F(BumpInWireTest, InlineTransformChangesFrames)
 
 TEST_F(BumpInWireTest, PipelineAddsBoundedLatency)
 {
-    host_link->setReceiver(1,
-                           [](Tick, std::uint64_t, std::uint64_t) {});
+    host_link->setReceiver(1, [](Tick, net::Frame &&) {});
     Tick direct = 0, through = 0;
     {
         // Direct 100G link for reference.
         EventQueue q2;
         net::EthernetLink ref("ref", q2, params::eth100Config());
-        ref.setReceiver(1, [](Tick, std::uint64_t, std::uint64_t) {});
-        direct = ref.send(0, 1500, 0);
+        ref.setReceiver(1, [](Tick, net::Frame &&) {});
+        direct = ref.send(0, net::Frame{1500, 0, {}});
     }
     // Through the bump: delivered tick at the host link.
     Tick delivered = 0;
-    host_link->setReceiver(1, [&](Tick t, std::uint64_t,
-                                  std::uint64_t) { delivered = t; });
-    net_link->send(0, 1500, 0);
+    host_link->setReceiver(1,
+                           [&](Tick t, net::Frame &&) { delivered = t; });
+    net_link->send(0, net::Frame{1500, 0, {}});
     eq.run();
     through = delivered;
     // The added latency is the pipeline delay plus the second hop,

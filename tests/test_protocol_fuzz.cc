@@ -192,19 +192,20 @@ fuzzMatrix()
     return out;
 }
 
-std::string
-fuzzName(const ::testing::TestParamInfo<FuzzConfig> &info)
+// Names each case after its configuration, e.g. round_robin_l12_m8;
+// gtest would otherwise print the raw bytes, struct padding included.
+void
+PrintTo(const FuzzConfig &c, std::ostream *os)
 {
-    std::string policy = toString(info.param.policy);
-    for (auto &c : policy)
-        if (c == '-')
-            c = '_';
-    return policy + "_l" + std::to_string(info.param.lanes) + "_m" +
-           std::to_string(info.param.mshrs);
+    std::string policy = toString(c.policy);
+    for (auto &ch : policy)
+        if (ch == '-')
+            ch = '_';
+    *os << policy << "_l" << c.lanes << "_m" << c.mshrs;
 }
 
 INSTANTIATE_TEST_SUITE_P(ConfigMatrix, ProtocolFuzz,
-                         ::testing::ValuesIn(fuzzMatrix()), fuzzName);
+                         ::testing::ValuesIn(fuzzMatrix()));
 
 } // namespace
 } // namespace enzian
