@@ -11,68 +11,82 @@
 
 namespace enzian::accel {
 
-DecisionTree::DecisionTree(std::vector<TreeNode> nodes)
-    : nodes_(std::move(nodes))
+namespace {
+
+/** Tuples predictBatch walks through each tree side by side. */
+constexpr std::uint64_t kBlock = 16;
+
+} // namespace
+
+GbdtEnsemble::GbdtEnsemble(std::uint32_t trees, std::uint32_t depth,
+                           std::uint32_t features,
+                           std::vector<Split> splits,
+                           std::vector<float> leaves)
+    : trees_(trees), depth_(depth), features_(features),
+      splits_(std::move(splits)), leaves_(std::move(leaves))
 {
-    if (nodes_.empty())
-        fatal("empty decision tree");
-    // Depth by traversal (trees are complete, but compute anyway).
-    std::uint32_t max_depth = 0;
-    std::vector<std::pair<std::int32_t, std::uint32_t>> stack{{0, 1}};
-    while (!stack.empty()) {
-        auto [idx, d] = stack.back();
-        stack.pop_back();
-        max_depth = std::max(max_depth, d);
-        const TreeNode &n = nodes_[static_cast<std::size_t>(idx)];
-        if (!n.isLeaf) {
-            ENZIAN_ASSERT(n.left >= 0 && n.right >= 0 &&
-                              static_cast<std::size_t>(n.left) <
-                                  nodes_.size() &&
-                              static_cast<std::size_t>(n.right) <
-                                  nodes_.size(),
-                          "malformed tree node");
-            stack.push_back({n.left, d + 1});
-            stack.push_back({n.right, d + 1});
-        }
-    }
-    depth_ = max_depth;
+    if (trees_ == 0 || depth_ == 0 || depth_ > 20)
+        fatal("bad GBDT ensemble shape (%u trees, depth %u)", trees_,
+              depth_);
+    internal_ = (1u << (depth_ - 1)) - 1;
+    leafCount_ = 1u << (depth_ - 1);
+    if (splits_.size() != std::size_t{trees_} * internal_ ||
+        leaves_.size() != std::size_t{trees_} * leafCount_)
+        fatal("GBDT ensemble arrays do not match %u trees of depth %u "
+              "(%zu splits, %zu leaves)",
+              trees_, depth_, splits_.size(), leaves_.size());
+    for (const Split &s : splits_)
+        if (s.feature >= features_)
+            fatal("GBDT split on feature %u of a %u-feature ensemble",
+                  s.feature, features_);
 }
 
 float
-DecisionTree::score(const float *features) const
-{
-    const TreeNode *n = &nodes_[0];
-    while (!n->isLeaf) {
-        n = features[n->feature] < n->threshold
-                ? &nodes_[static_cast<std::size_t>(n->left)]
-                : &nodes_[static_cast<std::size_t>(n->right)];
-    }
-    return n->value;
-}
-
-GbdtEnsemble::GbdtEnsemble(std::vector<DecisionTree> trees)
-    : trees_(std::move(trees))
-{
-    if (trees_.empty())
-        fatal("empty GBDT ensemble");
-}
-
-float
-GbdtEnsemble::predict(const float *features) const
+GbdtEnsemble::predict(const float *x) const
 {
     float sum = 0.0f;
-    for (const auto &t : trees_)
-        sum += t.score(features);
+    for (std::uint32_t t = 0; t < trees_; ++t) {
+        const Split *split = splits_.data() + std::size_t{t} * internal_;
+        std::uint32_t i = 0;
+        while (i < internal_)
+            i = x[split[i].feature] < split[i].threshold ? 2 * i + 1
+                                                         : 2 * i + 2;
+        sum += leaves_[std::size_t{t} * leafCount_ + (i - internal_)];
+    }
     return sum;
 }
 
-std::size_t
-GbdtEnsemble::totalNodes() const
+void
+GbdtEnsemble::predictBatch(const float *tuples, std::uint64_t count,
+                           std::uint32_t width, float *out) const
 {
-    std::size_t n = 0;
-    for (const auto &t : trees_)
-        n += t.nodeCount();
-    return n;
+    ENZIAN_ASSERT(width >= features_, "%u-float tuples, %u features",
+                  width, features_);
+    for (std::uint64_t base = 0; base < count; base += kBlock) {
+        // Lanes past the end re-read the last tuple; their sums are
+        // dropped, so every block runs the same fixed-width loops.
+        const float *x[kBlock];
+        for (std::uint64_t j = 0; j < kBlock; ++j)
+            x[j] = tuples + std::min(base + j, count - 1) * width;
+        float sum[kBlock] = {};
+        const Split *split = splits_.data();
+        const float *leaf = leaves_.data();
+        for (std::uint32_t t = 0; t < trees_; ++t) {
+            std::uint32_t idx[kBlock] = {};
+            for (std::uint32_t level = 1; level < depth_; ++level) {
+                for (std::uint64_t j = 0; j < kBlock; ++j) {
+                    const Split &s = split[idx[j]];
+                    idx[j] = 2 * idx[j] + 1 +
+                             !(x[j][s.feature] < s.threshold);
+                }
+            }
+            for (std::uint64_t j = 0; j < kBlock; ++j)
+                sum[j] += leaf[idx[j] - internal_];
+            split += internal_;
+            leaf += leafCount_;
+        }
+        std::copy_n(sum, std::min(kBlock, count - base), out + base);
+    }
 }
 
 GbdtEnsemble
@@ -83,31 +97,26 @@ makeEnsemble(std::uint64_t seed, std::uint32_t trees,
         fatal("bad ensemble shape (%u trees, depth %u, %u features)",
               trees, depth, features);
     Rng rng(seed);
-    std::vector<DecisionTree> out;
-    out.reserve(trees);
     const std::uint32_t internal = (1u << (depth - 1)) - 1;
-    const std::uint32_t total = (1u << depth) - 1;
+    const std::uint32_t leaf_count = 1u << (depth - 1);
+    std::vector<GbdtEnsemble::Split> splits;
+    std::vector<float> leaves;
+    splits.reserve(std::size_t{trees} * internal);
+    leaves.reserve(std::size_t{trees} * leaf_count);
+    // Draw order, per tree: each split's feature then threshold, in
+    // node order, then the leaves in node order.
     for (std::uint32_t t = 0; t < trees; ++t) {
-        std::vector<TreeNode> nodes(total);
-        for (std::uint32_t i = 0; i < total; ++i) {
-            TreeNode &n = nodes[i];
-            if (i < internal) {
-                n.isLeaf = false;
-                n.feature =
-                    static_cast<std::uint32_t>(rng.below(features));
-                n.threshold =
-                    static_cast<float>(rng.uniform(-1.0, 1.0));
-                n.left = static_cast<std::int32_t>(2 * i + 1);
-                n.right = static_cast<std::int32_t>(2 * i + 2);
-            } else {
-                n.isLeaf = true;
-                n.value =
-                    static_cast<float>(rng.uniform(-0.1, 0.1));
-            }
+        for (std::uint32_t i = 0; i < internal; ++i) {
+            GbdtEnsemble::Split s;
+            s.feature = static_cast<std::uint32_t>(rng.below(features));
+            s.threshold = static_cast<float>(rng.uniform(-1.0, 1.0));
+            splits.push_back(s);
         }
-        out.emplace_back(std::move(nodes));
+        for (std::uint32_t i = 0; i < leaf_count; ++i)
+            leaves.push_back(static_cast<float>(rng.uniform(-0.1, 0.1)));
     }
-    return GbdtEnsemble(std::move(out));
+    return GbdtEnsemble(trees, depth, features, std::move(splits),
+                        std::move(leaves));
 }
 
 std::vector<float>

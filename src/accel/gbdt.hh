@@ -7,6 +7,12 @@
  * decision trees over dense float feature vectors, with deterministic
  * synthetic generation so the FPGA engine's outputs can be checked
  * bit-for-bit against this reference.
+ *
+ * Every tree is complete and of one depth d, so the ensemble is two
+ * flat arrays: per tree, 2^(d-1)-1 splits in breadth-first order
+ * (children of node i at 2i+1 and 2i+2) and 2^(d-1) leaf values.
+ * A tuple goes left at a split iff x[feature] < threshold; equal
+ * values and NaN go right.
  */
 
 #ifndef ENZIAN_ACCEL_GBDT_HH
@@ -19,52 +25,60 @@
 
 namespace enzian::accel {
 
-/** One node of a complete binary decision tree. */
-struct TreeNode
-{
-    /** Feature index compared at this node (internal nodes). */
-    std::uint32_t feature = 0;
-    /** Split threshold. */
-    float threshold = 0.0f;
-    /** Leaf contribution (leaves only). */
-    float value = 0.0f;
-    bool isLeaf = false;
-    /** Children indices in the tree's node array. */
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-};
-
-/** A single decision tree stored as a node array (root at 0). */
-class DecisionTree
-{
-  public:
-    explicit DecisionTree(std::vector<TreeNode> nodes);
-
-    /** Additive score of @p features for this tree. */
-    float score(const float *features) const;
-
-    std::size_t nodeCount() const { return nodes_.size(); }
-    std::uint32_t depth() const { return depth_; }
-
-  private:
-    std::vector<TreeNode> nodes_;
-    std::uint32_t depth_;
-};
-
-/** A boosted ensemble: the prediction is the sum of tree scores. */
+/** A boosted ensemble of complete trees: the sum of tree scores. */
 class GbdtEnsemble
 {
   public:
-    explicit GbdtEnsemble(std::vector<DecisionTree> trees);
+    /** One internal node: go left iff x[feature] < threshold. */
+    struct Split
+    {
+        std::uint32_t feature = 0;
+        float threshold = 0.0f;
+    };
 
-    /** Sum of all tree scores. */
-    float predict(const float *features) const;
+    /**
+     * @param trees number of trees (>= 1)
+     * @param depth levels per tree, leaves included (1..20)
+     * @param features tuple width every split indexes below
+     * @param splits trees * (2^(depth-1)-1) splits, tree by tree
+     * @param leaves trees * 2^(depth-1) leaf values, tree by tree
+     */
+    GbdtEnsemble(std::uint32_t trees, std::uint32_t depth,
+                 std::uint32_t features, std::vector<Split> splits,
+                 std::vector<float> leaves);
 
-    std::size_t treeCount() const { return trees_.size(); }
-    std::size_t totalNodes() const;
+    /**
+     * Reference score of one tuple: a scalar walk of each tree, the
+     * leaves summed in tree order from 0.0f.
+     */
+    float predict(const float *x) const;
+
+    /**
+     * Score @p count tuples laid out @p width floats apart (width >=
+     * features()) into @p out. Bit-identical to predict() per tuple:
+     * the same comparisons, the same sum order, with tuples (never
+     * trees) processed side by side.
+     */
+    void predictBatch(const float *tuples, std::uint64_t count,
+                      std::uint32_t width, float *out) const;
+
+    std::size_t treeCount() const { return trees_; }
+    std::size_t totalNodes() const
+    {
+        return splits_.size() + leaves_.size();
+    }
+    std::uint32_t depth() const { return depth_; }
+    std::uint32_t features() const { return features_; }
 
   private:
-    std::vector<DecisionTree> trees_;
+    std::uint32_t trees_;
+    std::uint32_t depth_;
+    std::uint32_t features_;
+    /** Splits and leaves per tree. */
+    std::uint32_t internal_ = 0;
+    std::uint32_t leafCount_ = 0;
+    std::vector<Split> splits_;
+    std::vector<float> leaves_;
 };
 
 /**

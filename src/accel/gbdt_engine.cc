@@ -23,6 +23,11 @@ GbdtEngine::GbdtEngine(std::string name, EventQueue &eq,
         cfg_.cycles_per_tuple <= 0)
         fatal("GBDT engine '%s': bad configuration",
               SimObject::name().c_str());
+    if (ensemble_.features() > cfg_.features)
+        fatal("GBDT engine '%s': ensemble indexes %u features, tuples "
+              "carry %u",
+              SimObject::name().c_str(), ensemble_.features(),
+              cfg_.features);
     stats().addCounter("served_batches", &served_);
     stats().addAccumulator("serve_queue_wait_ns", &queueWaitNs_);
     stats().addAccumulator("serve_service_ns", &serviceNs_);
@@ -55,8 +60,7 @@ GbdtEngine::infer(const float *tuples, std::uint64_t count) const
 {
     Result r;
     r.scores.resize(count);
-    for (std::uint64_t i = 0; i < count; ++i)
-        r.scores[i] = ensemble_.predict(tuples + i * cfg_.features);
+    ensemble_.predictBatch(tuples, count, cfg_.features, r.scores.data());
 
     const double interval_s = steadyIntervalSeconds(&r.transferBound);
     const double total_s = cfg_.fill_latency_ns * 1e-9 +
@@ -72,9 +76,8 @@ GbdtEngine::serve(const float *tuples, std::uint64_t count,
 {
     if (scores_out) {
         scores_out->resize(count);
-        for (std::uint64_t i = 0; i < count; ++i)
-            (*scores_out)[i] =
-                ensemble_.predict(tuples + i * cfg_.features);
+        ensemble_.predictBatch(tuples, count, cfg_.features,
+                               scores_out->data());
     }
 
     const Tick submit = now();

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "accel/gbdt.hh"
@@ -15,40 +17,72 @@
 namespace enzian::accel {
 namespace {
 
+/** Scores of every tuple from the reference walk. */
+std::vector<float>
+referenceScores(const GbdtEnsemble &e, const std::vector<float> &tuples,
+                std::uint32_t width)
+{
+    std::vector<float> out(tuples.size() / width);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = e.predict(&tuples[i * width]);
+    return out;
+}
+
+std::vector<float>
+batchScores(const GbdtEnsemble &e, const std::vector<float> &tuples,
+            std::uint32_t width)
+{
+    std::vector<float> out(tuples.size() / width);
+    e.predictBatch(tuples.data(), out.size(), width, out.data());
+    return out;
+}
+
+/** Bitwise equality: distinguishes -0.0f from 0.0f and compares NaNs. */
+::testing::AssertionResult
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+               << "sizes " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+            return ::testing::AssertionFailure()
+                   << "tuple " << i << ": " << a[i] << " vs " << b[i];
+    return ::testing::AssertionSuccess();
+}
+
+/** FNV-1a 64 over the bytes of @p scores. */
+std::uint64_t
+fnv1a(const std::vector<float> &scores)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto *p = reinterpret_cast<const unsigned char *>(scores.data());
+    for (std::size_t i = 0; i < scores.size() * sizeof(float); ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 TEST(DecisionTree, HandBuiltTreeScores)
 {
-    // x[0] < 0 ? 1.0 : (x[1] < 0.5 ? 2.0 : 3.0)
-    std::vector<TreeNode> nodes(5);
-    nodes[0] = {0, 0.0f, 0.0f, false, 1, 2};
-    nodes[1].isLeaf = true;
-    nodes[1].value = 1.0f;
-    nodes[2] = {1, 0.5f, 0.0f, false, 3, 4};
-    nodes[3].isLeaf = true;
-    nodes[3].value = 2.0f;
-    nodes[4].isLeaf = true;
-    nodes[4].value = 3.0f;
-    DecisionTree t(std::move(nodes));
+    // x[0] < 0 ? 1.0 : (x[1] < 0.5 ? 2.0 : 3.0), as a complete
+    // depth-3 tree whose left subtree has two 1.0 leaves.
+    GbdtEnsemble t(1, 3, 2, {{0, 0.0f}, {0, -0.5f}, {1, 0.5f}},
+                   {1.0f, 1.0f, 2.0f, 3.0f});
     const float a[2] = {-1.0f, 0.0f};
     const float b[2] = {1.0f, 0.0f};
     const float c[2] = {1.0f, 1.0f};
-    EXPECT_FLOAT_EQ(t.score(a), 1.0f);
-    EXPECT_FLOAT_EQ(t.score(b), 2.0f);
-    EXPECT_FLOAT_EQ(t.score(c), 3.0f);
+    EXPECT_FLOAT_EQ(t.predict(a), 1.0f);
+    EXPECT_FLOAT_EQ(t.predict(b), 2.0f);
+    EXPECT_FLOAT_EQ(t.predict(c), 3.0f);
     EXPECT_EQ(t.depth(), 3u);
 }
 
 TEST(GbdtEnsemble, PredictionIsSumOfTrees)
 {
-    auto leaf = [](float v) {
-        std::vector<TreeNode> n(1);
-        n[0].isLeaf = true;
-        n[0].value = v;
-        return DecisionTree(std::move(n));
-    };
-    std::vector<DecisionTree> trees;
-    trees.push_back(leaf(0.5f));
-    trees.push_back(leaf(1.5f));
-    GbdtEnsemble e(std::move(trees));
+    // Two depth-1 trees: a single leaf each.
+    GbdtEnsemble e(2, 1, 1, {}, {0.5f, 1.5f});
     const float x[1] = {0.0f};
     EXPECT_FLOAT_EQ(e.predict(x), 2.0f);
 }
@@ -97,10 +131,23 @@ TEST_F(GbdtEngineTest, ScoresMatchReference)
     auto tuples = makeTuples(2, 1000, cfg.features);
     auto r = engine.infer(tuples.data(), 1000);
     ASSERT_EQ(r.scores.size(), 1000u);
-    for (std::size_t i = 0; i < 1000; ++i) {
-        EXPECT_FLOAT_EQ(r.scores[i],
-                        ensemble.predict(&tuples[i * cfg.features]));
-    }
+    EXPECT_TRUE(
+        sameBits(r.scores, referenceScores(ensemble, tuples, cfg.features)));
+}
+
+TEST_F(GbdtEngineTest, ServeScoresMatchReference)
+{
+    auto cfg = platform::gbdtPlatformConfig("Enzian", 1);
+    GbdtEngine engine("e", eq, ensemble, cfg);
+    auto tuples = makeTuples(4, 300, cfg.features);
+    std::vector<float> scores;
+    Tick finished = 0;
+    engine.serve(tuples.data(), 300, &scores,
+                 [&](Tick, Tick end) { finished = end; });
+    eq.run();
+    EXPECT_GT(finished, 0u);
+    EXPECT_TRUE(
+        sameBits(scores, referenceScores(ensemble, tuples, cfg.features)));
 }
 
 /** Figure 9 calibration: platform x engines -> Mtuples/s. */
@@ -169,6 +216,109 @@ TEST_F(GbdtEngineTest, WorkloadStaysUnderPaperHostBandwidth)
     auto r = engine.infer(tuples.data(), 100);
     const double bytes_per_tuple = engine.tupleBytes() + sizeof(float);
     EXPECT_LT(r.tuplesPerSecond * bytes_per_tuple, 4e9);
+}
+
+TEST(GbdtEnsemble, BatchMatchesReferenceBitForBit)
+{
+    for (std::uint32_t depth : {1u, 2u, 5u, 8u}) {
+        for (std::uint32_t width : {1u, 8u, 13u}) {
+            auto e = makeEnsemble(depth * 100 + width, 7, depth, width);
+            for (std::uint64_t count : {1, 15, 16, 17, 512, 1000}) {
+                auto tuples = makeTuples(count, count, width);
+                EXPECT_TRUE(sameBits(batchScores(e, tuples, width),
+                                     referenceScores(e, tuples, width)))
+                    << "depth " << depth << " width " << width
+                    << " count " << count;
+            }
+        }
+    }
+    // The engine streams cfg.features-wide tuples; the ensemble may
+    // use only a prefix of each.
+    auto e = makeEnsemble(21, 9, 4, 5);
+    auto tuples = makeTuples(22, 40, 8);
+    EXPECT_TRUE(sameBits(batchScores(e, tuples, 8),
+                         referenceScores(e, tuples, 8)));
+}
+
+TEST(GbdtEnsemble, BatchTiesSignedZerosAndNaNGoRight)
+{
+    // Tree t splits on feature t and adds 2^(2t) going left or
+    // 2^(2t+1) going right, so the score spells out every branch.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    GbdtEnsemble e(3, 2, 3, {{0, 0.5f}, {1, -0.0f}, {2, 0.0f}},
+                   {1.0f, 2.0f, 4.0f, 8.0f, 16.0f, 32.0f});
+    const std::vector<std::vector<float>> rows = {
+        {0.5f, 0.0f, -0.0f},  // ties, both zero signs: all right
+        {nan, nan, nan},      // NaN: all right
+        {0.49f, -0.1f, -1.0f}, // all left
+        {-0.0f, -0.0f, 0.0f}, // left, then ties
+    };
+    const float expect[] = {42.0f, 42.0f, 21.0f, 41.0f};
+    // 17 tuples: a full 16-wide block plus a one-tuple tail.
+    std::vector<float> tuples;
+    for (std::size_t i = 0; i < 17; ++i)
+        tuples.insert(tuples.end(), rows[i % rows.size()].begin(),
+                      rows[i % rows.size()].end());
+    auto batch = batchScores(e, tuples, 3);
+    EXPECT_TRUE(sameBits(batch, referenceScores(e, tuples, 3)));
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        EXPECT_EQ(batch[i], expect[i % rows.size()]) << "tuple " << i;
+}
+
+TEST(GbdtEnsemble, PinnedScoreDigests)
+{
+    // Pinned scores of generated ensembles: a change to makeEnsemble's
+    // or makeTuples' draw order, or to the scoring arithmetic, changes
+    // these digests.
+    struct Row
+    {
+        std::uint64_t eseed;
+        std::uint32_t trees, depth, features;
+        std::uint64_t tseed, count;
+        std::uint64_t digest;
+    };
+    const Row rows[] = {
+        {0xd7ee5, 32, 5, 8, 0x7ab1e, 2048, 0x65082eac28c6d089ull},
+        {1, 32, 5, 8, 2, 1000, 0x53db761fee5d0282ull},
+        {7, 8, 4, 8, 3, 100, 0x121938aacdb56f11ull},
+        {3, 4, 8, 13, 9, 257, 0x5d12f2e5a5f2f876ull},
+        {5, 3, 1, 2, 6, 17, 0x937658947bbd95fcull},
+    };
+    for (const Row &r : rows) {
+        auto e = makeEnsemble(r.eseed, r.trees, r.depth, r.features);
+        auto tuples = makeTuples(r.tseed, r.count, r.features);
+        EXPECT_EQ(fnv1a(referenceScores(e, tuples, r.features)), r.digest)
+            << "ensemble seed " << r.eseed;
+        EXPECT_EQ(fnv1a(batchScores(e, tuples, r.features)), r.digest)
+            << "ensemble seed " << r.eseed;
+    }
+}
+
+TEST(GbdtEnsembleDeathTest, BadShapeFatal)
+{
+    EXPECT_EXIT(GbdtEnsemble(0, 1, 1, {}, {}),
+                ::testing::ExitedWithCode(1), "bad GBDT ensemble shape");
+    EXPECT_EXIT(GbdtEnsemble(1, 21, 1, {}, {}),
+                ::testing::ExitedWithCode(1), "bad GBDT ensemble shape");
+    EXPECT_EXIT(GbdtEnsemble(1, 2, 1, {{0, 0.0f}}, {1.0f}),
+                ::testing::ExitedWithCode(1), "do not match");
+    EXPECT_EXIT(GbdtEnsemble(1, 2, 1, {}, {1.0f, 2.0f}),
+                ::testing::ExitedWithCode(1), "do not match");
+    EXPECT_EXIT(GbdtEnsemble(1, 2, 2, {{2, 0.0f}}, {1.0f, 2.0f}),
+                ::testing::ExitedWithCode(1), "feature 2 of a 2-feature");
+    EXPECT_EXIT(makeEnsemble(1, 1, 2, 0), ::testing::ExitedWithCode(1),
+                "bad ensemble shape");
+}
+
+TEST(GbdtEngineDeathTest, EnsembleWiderThanTuplesFatal)
+{
+    EventQueue eq;
+    auto ensemble = makeEnsemble(1, 4, 5, 16);
+    auto cfg = platform::gbdtPlatformConfig("Enzian", 1);
+    ASSERT_EQ(cfg.features, 8u);
+    EXPECT_EXIT(GbdtEngine("wide", eq, ensemble, cfg),
+                ::testing::ExitedWithCode(1),
+                "indexes 16 features, tuples carry 8");
 }
 
 TEST(GbdtEngineDeathTest, BadConfigFatal)
