@@ -83,6 +83,18 @@ EciLink::bindDomains(sim::DomainScheduler &sched,
 void
 EciLink::TxStats::foldInto(TxStats &agg)
 {
+    if (msgs.value() == 0) {
+        // Every recorded send bumps msgs first (see recordTx and
+        // sendFaulted), so an idle stage has nothing to fold; most
+        // stages of a rack are idle in most epochs.
+        bool empty = bytes.value() == 0 && dropped.value() == 0 &&
+                     corrupted.value() == 0 && latency.count() == 0 &&
+                     serWait.count() == 0 && hist.count() == 0;
+        for (const Accumulator &a : vcLatency)
+            empty = empty && a.count() == 0;
+        ENZIAN_ASSERT(empty, "ECI tx stage holds samples but no msgs");
+        return;
+    }
     agg.msgs.inc(msgs.value());
     agg.bytes.inc(bytes.value());
     agg.dropped.inc(dropped.value());
@@ -196,6 +208,8 @@ void
 EciLink::recordTx(std::size_t dir, Tick tnow, const EciMsg &msg,
                   const TxTiming &t)
 {
+    // msgs is bumped before any other sample, here and in
+    // sendFaulted: TxStats::foldInto skips a stage with msgs == 0.
     TxStats &s = txStats(dir);
     s.msgs.inc();
     s.bytes.inc(msg.wireBytes());

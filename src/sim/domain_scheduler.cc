@@ -5,15 +5,26 @@
  * Handshake protocol. The coordinator (whichever thread called run())
  * publishes an epoch by storing the epoch end tick and bumping
  * epochGen_ with release order; workers wait for the bump with
- * acquire order, claim domains from nextDomain_ (relaxed fetch_add —
- * assignment order does not affect the simulation, only which thread
- * runs which independent domain), run each claimed queue to the epoch
+ * acquire order, run the queues of the domains they own to the epoch
  * end, and signal completion on doneCount_ with acq_rel. The
- * coordinator participates in the claiming itself, then waits for
- * doneCount_ to reach the worker count. The release/acquire pairs on
- * epochGen_ and doneCount_ are the only synchronization the queues
- * and channels need: between them exactly one thread touches any
- * given domain, and between epochs only the coordinator runs.
+ * coordinator runs its own domains, then waits for doneCount_ to
+ * reach the worker count. The release/acquire pairs on epochGen_ and
+ * doneCount_ are the only synchronization the queues and channels
+ * need: between them exactly one thread touches any given domain, and
+ * between epochs only the coordinator runs.
+ *
+ * Ownership. With P participants, participant p (the coordinator is
+ * 0; workers learn their index when spawned) runs every domain i with
+ * i % P == p, in ascending id order, every epoch. Which thread runs a
+ * domain never affects the simulation; it decides only where the
+ * domain's queue, slot arenas and model objects live in the cache
+ * hierarchy. A fixed owner keeps that state on one core from epoch
+ * to epoch; the win is locality, not extra parallelism. The modulo
+ * rule also suits the machine and cluster layouts: a machine adds its
+ * CPU domain before its FPGA domain and a rack adds its network
+ * domain first, so at two participants the coordinator owns the
+ * network and FPGA domains that exchange frames and the worker owns
+ * the CPU domains. A contiguous block split measured slower.
  *
  * Waiting is spin-then-yield-then-futex: a short pause loop for the
  * common case where the other side arrives within microseconds, a
@@ -193,9 +204,9 @@ DomainScheduler::startWorkers()
     // Never more participants than domains; the coordinator is one.
     const auto cap = static_cast<std::uint32_t>(
         std::max<std::size_t>(domains_.size(), 1));
-    const std::uint32_t participants = std::min(threads_, cap);
-    for (std::uint32_t i = 1; i < participants; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    participants_ = std::min(threads_, cap);
+    for (std::uint32_t p = 1; p < participants_; ++p)
+        workers_.emplace_back([this, p] { workerLoop(p); });
 }
 
 void
@@ -212,21 +223,17 @@ DomainScheduler::stopWorkers()
 }
 
 void
-DomainScheduler::runClaimedDomains()
+DomainScheduler::runOwnedDomains(std::uint32_t participant)
 {
-    const auto n = static_cast<std::uint32_t>(domains_.size());
-    for (;;) {
-        const std::uint32_t i =
-            nextDomain_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n)
-            break;
+    for (std::size_t i = participant; i < domains_.size();
+         i += participants_) {
         TimingDomain &d = *domains_[i];
         d.epochExecuted_ = d.eq_.runUntil(epochEnd_);
     }
 }
 
 void
-DomainScheduler::workerLoop()
+DomainScheduler::workerLoop(std::uint32_t participant)
 {
     std::uint64_t seen = 0;
     for (;;) {
@@ -248,7 +255,7 @@ DomainScheduler::workerLoop()
         seen = g;
         if (stop_.load(std::memory_order_acquire))
             return;
-        runClaimedDomains();
+        runOwnedDomains(participant);
         doneCount_.fetch_add(1, std::memory_order_acq_rel);
         doneCount_.notify_all();
     }
@@ -265,11 +272,10 @@ DomainScheduler::executeEpoch(Tick end)
             d->epochExecuted_ = d->eq_.runUntil(end);
         return;
     }
-    nextDomain_.store(0, std::memory_order_relaxed);
     doneCount_.store(0, std::memory_order_relaxed);
     epochGen_.fetch_add(1, std::memory_order_release);
     epochGen_.notify_all();
-    runClaimedDomains();
+    runOwnedDomains(0);
     const auto want = static_cast<std::uint32_t>(workers_.size());
     std::uint32_t done = doneCount_.load(std::memory_order_acquire);
     int spins = 0;

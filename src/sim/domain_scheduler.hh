@@ -15,9 +15,12 @@
  * coupling over MGSim-style component DES):
  *
  *   1. T = min over domains of the next pending event tick.
- *   2. Every domain independently runs its queue up to the epoch end;
- *      with worker threads, domains are claimed from a shared atomic
- *      index so any thread may run any domain.
+ *   2. Every domain independently runs its queue up to the epoch end.
+ *      With P participants (P = min(threads, domains), the caller of
+ *      run() being participant 0), domain i always runs on participant
+ *      i % P, in ascending id order — a fixed owner, so a domain's
+ *      queue, slot arenas and model objects stay in one core's caches
+ *      from epoch to epoch.
  *   3. Barrier: cross-domain messages (timestamped, at least the
  *      channel lookahead in the future — see CrossDomainChannel) are
  *      drained into their destination queues in a fixed merge order
@@ -239,8 +242,8 @@ class DomainScheduler
     std::uint64_t runLoop(Tick limit, bool bounded);
     Tick epochEndFor(Tick next, Tick limit, bool bounded);
     void executeEpoch(Tick end);
-    void runClaimedDomains();
-    void workerLoop();
+    void runOwnedDomains(std::uint32_t participant);
+    void workerLoop(std::uint32_t participant);
     void startWorkers();
     void stopWorkers();
     void barrier();
@@ -260,9 +263,11 @@ class DomainScheduler
     std::vector<std::function<void()>> barrierTasks_;
 
     // Epoch handshake (see workerLoop for the protocol).
+    /** Coordinator plus workers; domain i runs on participant
+     *  i % participants_. Frozen by startWorkers(). */
+    std::uint32_t participants_ = 1;
     std::vector<std::thread> workers_;
     std::atomic<std::uint64_t> epochGen_{0};
-    std::atomic<std::uint32_t> nextDomain_{0};
     std::atomic<std::uint32_t> doneCount_{0};
     std::atomic<bool> stop_{false};
     Tick epochEnd_ = 0;

@@ -119,6 +119,20 @@ TEST(ClusterParallel, RegistryByteIdenticalAcrossThreadCounts)
         EXPECT_EQ(r1.values[n], patternFor(((n + 1) % kNodes) * 8));
 }
 
+TEST(ClusterParallel, RegistryIdenticalAtUnevenThreadCounts)
+{
+    // The rack has 9 domains: 3 threads split them unevenly, and 16
+    // exceeds the domain count, so the participants are capped.
+    const auto r1 = rackKvWorkload(1);
+    for (const std::uint32_t threads : {3u, 16u}) {
+        const auto rt = rackKvWorkload(threads);
+        EXPECT_EQ(r1.ticks, rt.ticks) << threads << " threads";
+        EXPECT_EQ(r1.values, rt.values) << threads << " threads";
+        EXPECT_EQ(r1.registryJson, rt.registryJson)
+            << threads << " threads";
+    }
+}
+
 TEST(ClusterParallel, DomainModeMatchesLegacyTicks)
 {
     // threads=1 runs the same rack as timing domains; the simulation

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "eci/eci_link.hh"
@@ -151,6 +154,63 @@ TEST(DomainScheduler, ThreadCountDeterminism)
     EXPECT_EQ(t1, t2);
     EXPECT_EQ(t1, t4);
     EXPECT_GT(t1.size(), 40u);
+}
+
+TEST(DomainScheduler, DomainsKeepTheirThread)
+{
+    // Domain i always runs on participant i % P, and the caller of
+    // run() is participant 0. Local self-rescheduling events keep
+    // every domain busy across many epochs; a ping-pong around a ring
+    // of channels adds cross-domain deliveries.
+    constexpr std::size_t kDomains = 5;
+    constexpr Tick kEnd = 40 * kLookahead;
+    constexpr Tick kPeriod = 37;
+    for (const std::uint32_t threads : {2u, 3u, 4u}) {
+        sim::DomainScheduler sched("t.owner", kLookahead, threads);
+        std::vector<sim::TimingDomain *> dom;
+        for (std::size_t i = 0; i < kDomains; ++i)
+            dom.push_back(&sched.addDomain("d" + std::to_string(i)));
+        std::vector<sim::CrossDomainChannel *> next;
+        for (std::size_t i = 0; i < kDomains; ++i)
+            next.push_back(
+                &sched.channel(*dom[i], *dom[(i + 1) % kDomains]));
+
+        // One slot per domain, written only by that domain's events.
+        std::vector<std::set<std::thread::id>> ran(kDomains);
+        std::function<void(std::size_t)> local = [&](std::size_t i) {
+            ran[i].insert(std::this_thread::get_id());
+            const Tick now = dom[i]->queue().now();
+            if (now + kPeriod < kEnd)
+                dom[i]->queue().schedule(now + kPeriod,
+                                         [&, i]() { local(i); });
+        };
+        std::function<void(std::size_t, int)> ping = [&](std::size_t i,
+                                                         int hops) {
+            ran[i].insert(std::this_thread::get_id());
+            if (hops == 0)
+                return;
+            const std::size_t j = (i + 1) % kDomains;
+            next[i]->push(dom[i]->queue().now() + kLookahead,
+                          [&, j, hops]() { ping(j, hops - 1); });
+        };
+        for (std::size_t i = 0; i < kDomains; ++i)
+            dom[i]->queue().schedule(i, [&, i]() { local(i); });
+        dom[0]->queue().schedule(3, [&]() { ping(0, 30); });
+        sched.run();
+
+        for (std::size_t i = 0; i < kDomains; ++i)
+            ASSERT_EQ(ran[i].size(), 1u)
+                << "domain " << i << " at " << threads << " threads";
+        EXPECT_EQ(*ran[0].begin(), std::this_thread::get_id());
+        for (std::size_t i = 0; i < kDomains; ++i) {
+            for (std::size_t j = 0; j < kDomains; ++j) {
+                EXPECT_EQ(*ran[i].begin() == *ran[j].begin(),
+                          i % threads == j % threads)
+                    << "domains " << i << ", " << j << " at " << threads
+                    << " threads";
+            }
+        }
+    }
 }
 
 TEST(DomainScheduler, RunUntilAdvancesAllDomains)
