@@ -25,7 +25,13 @@ Cache::Cache(std::string name, EventQueue &eq, const Config &cfg)
     if (!std::has_single_bit(sets_))
         fatal("cache '%s': set count %u not a power of two",
               SimObject::name().c_str(), sets_);
-    frames_.resize(sets_);
+    setBits_ = static_cast<std::uint32_t>(std::countr_zero(sets_));
+    const std::size_t frames = std::size_t{sets_} * cfg_.ways;
+    tags_ = ZeroedArray<std::uint64_t>(frames);
+    states_ = ZeroedArray<MoesiState>(frames);
+    stamps_ = ZeroedArray<std::uint64_t>(frames);
+    data_ = ZeroedArray<std::uint8_t>(frames * lineSize);
+    touchedBits_ = ZeroedArray<std::uint64_t>((sets_ + 63) / 64);
     if (cfg_.policy != ReplPolicy::Lru) {
         WayAllocator::Config acfg;
         acfg.ways = cfg_.ways;
@@ -39,57 +45,47 @@ Cache::Cache(std::string name, EventQueue &eq, const Config &cfg)
     stats().addCounter("evictions", &evictions_);
 }
 
-std::uint32_t
-Cache::setIndex(Addr addr) const
+std::size_t
+Cache::findWay(Addr addr) const
 {
-    return static_cast<std::uint32_t>((addr / lineSize) & (sets_ - 1));
-}
-
-std::uint64_t
-Cache::tagOf(Addr addr) const
-{
-    return (addr / lineSize) / sets_;
-}
-
-const LineFrame *
-Cache::find(Addr addr) const
-{
-    const LineFrame *set = frames_[setIndex(addr)].get();
-    if (!set)
-        return nullptr;
-    const std::uint64_t tag = tagOf(addr);
+    const std::uint64_t key = tagKey(addr);
+    const std::uint64_t *tags = tags_.data() + slot(setIndex(addr), 0);
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        if (set[w].valid() && set[w].tag == tag)
-            return &set[w];
+        if (tags[w] == key)
+            return w;
     }
-    return nullptr;
-}
-
-LineFrame *
-Cache::find(Addr addr)
-{
-    return const_cast<LineFrame *>(
-        static_cast<const Cache *>(this)->find(addr));
+    return noWay;
 }
 
 MoesiState
 Cache::probe(Addr addr) const
 {
-    const LineFrame *f = find(lineAlign(addr));
-    return f ? f->state : MoesiState::Invalid;
+    addr = lineAlign(addr);
+    const std::size_t w = findWay(addr);
+    return w == noWay ? MoesiState::Invalid
+                      : states_[slot(setIndex(addr),
+                                     static_cast<std::uint32_t>(w))];
 }
 
-LineFrame *
+LineHandle
+Cache::lookup(Addr addr)
+{
+    addr = lineAlign(addr);
+    const std::size_t w = findWay(addr);
+    if (w == noWay)
+        return {};
+    return {this, setIndex(addr), static_cast<std::uint32_t>(w)};
+}
+
+LineHandle
 Cache::access(Addr addr)
 {
-    LineFrame *f = find(lineAlign(addr));
-    if (f) {
-        f->lastUse = ++useClock_;
-        hits_.inc();
-    } else {
+    const LineHandle line = lookup(addr);
+    if (line)
+        line.touch();
+    else
         misses_.inc();
-    }
-    return f;
+    return line;
 }
 
 std::optional<Eviction>
@@ -98,134 +94,125 @@ Cache::fill(Addr addr, MoesiState state, const std::uint8_t *data,
 {
     addr = lineAlign(addr);
     ENZIAN_ASSERT(state != MoesiState::Invalid, "fill with Invalid");
+    const std::uint32_t set = setIndex(addr);
 
     // Re-fill over an existing copy just updates it.
-    if (LineFrame *f = find(addr)) {
-        f->state = state;
+    if (const std::size_t w = findWay(addr); w != noWay) {
+        const auto way = static_cast<std::uint32_t>(w);
+        states_[slot(set, way)] = state;
         if (data)
-            std::memcpy(f->data.data(), data, lineSize);
-        f->lastUse = ++useClock_;
+            std::memcpy(lineData(set, way), data, lineSize);
+        stamps_[slot(set, way)] = ++useClock_;
         return std::nullopt;
     }
 
     if (alloc_)
         alloc_->recordMiss(owner);
 
-    std::unique_ptr<LineFrame[]> &set = frames_[setIndex(addr)];
-    if (!set)
-        set = std::make_unique<LineFrame[]>(cfg_.ways);
-    LineFrame *victim = nullptr;
+    std::uint64_t &bits = touchedBits_[set / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (set % 64);
+    if (!(bits & bit)) {
+        bits |= bit;
+        if (!touched_.empty() && touched_.back() > set)
+            touchedSorted_ = false;
+        touched_.push_back(set);
+    }
+
+    // First allowed Invalid way, else the allowed way with the
+    // smallest stamp (the first such way on a tie).
+    const std::size_t base = slot(set, 0);
+    std::size_t victim = noWay;
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if (alloc_ && !alloc_->mayAllocate(owner, w))
             continue;
-        LineFrame &f = set[w];
-        if (!f.valid()) {
-            victim = &f;
+        if (states_[base + w] == MoesiState::Invalid) {
+            victim = w;
             break;
         }
-        if (!victim || f.lastUse < victim->lastUse)
-            victim = &f;
+        if (victim == noWay || stamps_[base + w] < stamps_[base + victim])
+            victim = w;
     }
-    ENZIAN_ASSERT(victim, "owner %u owns no way", owner);
+    ENZIAN_ASSERT(victim != noWay, "owner %u owns no way", owner);
+    const auto way = static_cast<std::uint32_t>(victim);
+    const std::size_t s = base + way;
 
     std::optional<Eviction> evicted;
-    if (victim->valid()) {
+    if (states_[s] != MoesiState::Invalid) {
         evictions_.inc();
-        const std::uint64_t victim_line =
-            victim->tag * sets_ + setIndex(addr);
-        evicted = Eviction{victim_line * lineSize, victim->state,
-                           victim->data};
+        evicted.emplace();
+        evicted->addr = lineAddr(set, way);
+        evicted->state = states_[s];
+        std::memcpy(evicted->data.data(), lineData(set, way), lineSize);
     }
 
-    victim->tag = tagOf(addr);
-    victim->state = state;
-    victim->lastUse = ++useClock_;
+    tags_[s] = tagKey(addr);
+    states_[s] = state;
+    stamps_[s] = ++useClock_;
     if (data)
-        std::memcpy(victim->data.data(), data, lineSize);
+        std::memcpy(lineData(set, way), data, lineSize);
     else
-        victim->data.fill(0);
+        std::memset(lineData(set, way), 0, lineSize);
     return evicted;
 }
 
 bool
 Cache::hasFreeFrame(Addr addr, std::uint32_t owner) const
 {
-    const LineFrame *set = frames_[setIndex(lineAlign(addr))].get();
+    const std::size_t base = slot(setIndex(lineAlign(addr)), 0);
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
         if (alloc_ && !alloc_->mayAllocate(owner, w))
             continue;
-        if (!set || !set[w].valid())
+        if (states_[base + w] == MoesiState::Invalid)
             return true;
     }
     return false;
 }
 
 void
-Cache::setState(Addr addr, MoesiState state)
+Cache::setState(std::uint32_t set, std::uint32_t way, MoesiState state)
 {
-    LineFrame *f = find(lineAlign(addr));
-    ENZIAN_ASSERT(f, "setState on non-resident line %llx",
-                  static_cast<unsigned long long>(addr));
-    f->state = state;
+    states_[slot(set, way)] = state;
+    if (state == MoesiState::Invalid)
+        tags_[slot(set, way)] = 0;
 }
 
 std::optional<Eviction>
 Cache::invalidate(Addr addr)
 {
-    addr = lineAlign(addr);
-    LineFrame *f = find(addr);
-    if (!f)
+    return invalidate(lookup(addr));
+}
+
+std::optional<Eviction>
+Cache::invalidate(LineHandle line)
+{
+    if (!line)
         return std::nullopt;
     std::optional<Eviction> out;
-    if (isDirty(f->state))
-        out = Eviction{addr, f->state, f->data};
-    f->state = MoesiState::Invalid;
+    if (isDirty(line.state())) {
+        out.emplace();
+        out->addr = lineAddr(line.set_, line.way_);
+        out->state = line.state();
+        std::memcpy(out->data.data(), line.data(), lineSize);
+    }
+    line.setState(MoesiState::Invalid);
     return out;
 }
 
 void
-Cache::readData(Addr addr, void *dst, std::uint32_t len) const
-{
-    const Addr line = lineAlign(addr);
-    const std::uint32_t off = static_cast<std::uint32_t>(addr - line);
-    ENZIAN_ASSERT(off + len <= lineSize, "read crosses line boundary");
-    const LineFrame *f = find(line);
-    ENZIAN_ASSERT(f && f->valid(), "readData on non-resident line");
-    std::memcpy(dst, f->data.data() + off, len);
-}
-
-void
-Cache::writeData(Addr addr, const void *src, std::uint32_t len)
-{
-    const Addr line = lineAlign(addr);
-    const std::uint32_t off = static_cast<std::uint32_t>(addr - line);
-    ENZIAN_ASSERT(off + len <= lineSize, "write crosses line boundary");
-    LineFrame *f = find(line);
-    ENZIAN_ASSERT(f && f->valid(), "writeData on non-resident line");
-    std::memcpy(f->data.data() + off, src, len);
-}
-
-void
 Cache::forEachLine(
-    const std::function<void(Addr, const LineFrame &)> &fn) const
+    const std::function<void(Addr, MoesiState)> &fn) const
 {
-    for (std::uint32_t s = 0; s < sets_; ++s) {
-        const LineFrame *set = frames_[s].get();
-        if (!set)
-            continue;
+    if (!touchedSorted_) {
+        std::sort(touched_.begin(), touched_.end());
+        touchedSorted_ = true;
+    }
+    for (const std::uint32_t set : touched_) {
         for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-            if (set[w].valid())
-                fn((set[w].tag * sets_ + s) * lineSize, set[w]);
+            const MoesiState st = states_[slot(set, w)];
+            if (st != MoesiState::Invalid)
+                fn(lineAddr(set, w), st);
         }
     }
-}
-
-std::uint32_t
-Cache::allocatedSets() const
-{
-    return static_cast<std::uint32_t>(
-        std::count_if(frames_.begin(), frames_.end(),
-                      [](const auto &set) { return set != nullptr; }));
 }
 
 } // namespace enzian::cache

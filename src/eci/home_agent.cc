@@ -101,8 +101,8 @@ HomeAgent::setIpiHandler(std::function<void(std::uint32_t)> h)
 MoesiState
 HomeAgent::remoteState(Addr line) const
 {
-    auto it = dir_.find(cache::lineAlign(line));
-    return it == dir_.end() ? MoesiState::Invalid : it->second;
+    const MoesiState *s = dir_.find(cache::lineAlign(line));
+    return s ? *s : MoesiState::Invalid;
 }
 
 void
@@ -159,12 +159,11 @@ HomeAgent::isDuplicateRequest(const EciMsg &msg)
 bool
 HomeAgent::acquireLine(Addr line, std::function<void()> retry)
 {
-    if (busy_.contains(line)) {
+    if (!busy_.insert(line).second) {
         deferrals_.inc();
         deferred_[line].push_back(std::move(retry));
         return false;
     }
-    busy_.insert(line);
     occupancy_.sample(static_cast<double>(busy_.size()));
     return true;
 }
@@ -301,20 +300,18 @@ HomeAgent::serveRead(const EciMsg &msg, bool exclusive, bool allocate)
     // them before the (possibly asynchronous) data fetch so the
     // protocol state is stable by the time any later request for this
     // line is deferred behind us.
-    const MoesiState local =
-        localCache_ ? localCache_->probe(line) : MoesiState::Invalid;
-    const proto::HomeReadStep step =
-        table_->homeRead(local, remoteState(line), exclusive, allocate);
+    const cache::LineHandle held = localLine(line);
+    const proto::HomeReadStep step = table_->homeRead(
+        held.state(), remoteState(line), exclusive, allocate);
 
-    const bool local_had_copy = local != MoesiState::Invalid;
+    const bool local_had_copy = static_cast<bool>(held);
     bool local_flush = false;
     std::vector<std::uint8_t> flush_data;
     if (local_had_copy) {
-        localCache_->readData(line, rsp->line.data(),
-                              cache::lineSize);
+        std::memcpy(rsp->line.data(), held.data(), cache::lineSize);
         switch (step.localAction) {
           case proto::LocalAction::Invalidate: {
-            auto ev = localCache_->invalidate(line);
+            auto ev = localCache_->invalidate(held);
             if (ev && step.flushLocalDirty) {
                 local_flush = true;
                 flush_data.assign(ev->data.begin(), ev->data.end());
@@ -322,7 +319,7 @@ HomeAgent::serveRead(const EciMsg &msg, bool exclusive, bool allocate)
             break;
           }
           case proto::LocalAction::DowngradeOwned:
-            localCache_->setState(line, step.localAfter);
+            held.setState(step.localAfter);
             break;
           case proto::LocalAction::DowngradeShared:
             // MESI: the dirty data flushes to the source before the
@@ -333,7 +330,7 @@ HomeAgent::serveRead(const EciMsg &msg, bool exclusive, bool allocate)
                 flush_data.assign(rsp->line.begin(),
                                   rsp->line.end());
             }
-            localCache_->setState(line, step.localAfter);
+            held.setState(step.localAfter);
             break;
           case proto::LocalAction::Keep:
             break;
@@ -412,8 +409,8 @@ HomeAgent::serveUpgrade(const EciMsg &msg)
     const Addr line = cache::lineAlign(msg.addr);
     const Tick t0 = now() + dirLatency_;
 
-    const MoesiState local =
-        localCache_ ? localCache_->probe(line) : MoesiState::Invalid;
+    const cache::LineHandle held = localLine(line);
+    const MoesiState local = held.state();
     const proto::HomeUpgradeStep step =
         table_->homeUpgrade(local, remoteState(line));
     ENZIAN_ASSERT(step.legal,
@@ -422,21 +419,21 @@ HomeAgent::serveUpgrade(const EciMsg &msg)
                   static_cast<unsigned long long>(line),
                   cache::toString(remoteState(line)),
                   cache::toString(local));
-    if (localCache_ && local != MoesiState::Invalid) {
+    if (held) {
         switch (step.localAction) {
           case proto::LocalAction::Invalidate:
-            localCache_->invalidate(line);
+            localCache_->invalidate(held);
             break;
           case proto::LocalAction::DowngradeShared:
             // Update protocol: the RUPD payload refreshes the
             // surviving copy (superseding even dirty local data).
             if (step.updateData)
-                localCache_->writeData(line, msg.line.data(),
-                                       cache::lineSize);
-            localCache_->setState(line, MoesiState::Shared);
+                std::memcpy(held.data(), msg.line.data(),
+                            cache::lineSize);
+            held.setState(MoesiState::Shared);
             break;
           case proto::LocalAction::DowngradeOwned:
-            localCache_->setState(line, MoesiState::Owned);
+            held.setState(MoesiState::Owned);
             break;
           case proto::LocalAction::Keep:
             break;
@@ -540,10 +537,8 @@ HomeAgent::localRead(Addr line, std::uint8_t *out, Done done)
             localRead(line, out, std::move(done));
         }))
         return;
-    const MoesiState rs = remoteState(line);
-    const MoesiState lrs =
-        localCache_ ? localCache_->probe(line) : MoesiState::Invalid;
-    if (table_->homeLocalReadSnoop(lrs, rs) ==
+    const cache::LineHandle held = localLine(line);
+    if (table_->homeLocalReadSnoop(held.state(), remoteState(line)) ==
         proto::SnoopKind::Forward) {
         // Remote holds the freshest copy: snoop-forward it. The
         // pending snoop keeps the raw completion; the snoop-response
@@ -568,9 +563,8 @@ HomeAgent::localRead(Addr line, std::uint8_t *out, Done done)
         finishLine(line);
     };
     // Local cache copy (if any) is valid; otherwise the source.
-    if (localCache_ &&
-        localCache_->probe(line) != MoesiState::Invalid) {
-        localCache_->readData(line, out, cache::lineSize);
+    if (held) {
+        std::memcpy(out, held.data(), cache::lineSize);
         const Tick ready = now() + dirLatency_;
         eventq().schedule(
             ready, [done = std::move(done), ready]() { done(ready); },

@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "base/flat_map.hh"
 #include "cache/cache.hh"
 #include "eci/eci_link.hh"
 #include "eci/io_space.hh"
@@ -216,6 +217,13 @@ class HomeAgent : public SimObject
     /** Install @p data locally as Shared if read-allocate permits. */
     void maybeAllocateLocal(Addr line, const std::uint8_t *data);
 
+    /** The local cache's copy of @p line (empty if none or no cache). */
+    cache::LineHandle localLine(Addr line) const
+    {
+        return localCache_ ? localCache_->lookup(line)
+                           : cache::LineHandle{};
+    }
+
     void serveRead(const EciMsg &msg, bool exclusive, bool allocate);
     void serveUncachedWrite(const EciMsg &msg);
     void serveUpgrade(const EciMsg &msg);
@@ -246,9 +254,9 @@ class HomeAgent : public SimObject
     std::function<void(std::uint32_t)> ipiHandler_;
 
     /** Remote node's directory state per line (absent = Invalid). */
-    std::unordered_map<Addr, cache::MoesiState> dir_;
+    FlatMap<Addr, cache::MoesiState> dir_;
     /** Lines with a transaction in flight; arrivals queue behind. */
-    std::unordered_set<Addr> busy_;
+    FlatSet<Addr> busy_;
     std::unordered_map<Addr, std::deque<std::function<void()>>>
         deferred_;
     /** Outstanding local-access snoops by tid. */

@@ -47,10 +47,10 @@ RemoteAgent::enableRecovery(double timeout_us,
 void
 RemoteAgent::armRetry(std::uint32_t tid)
 {
-    auto it = txns_.find(tid);
-    if (it == txns_.end())
+    Txn *txn = txns_.find(tid);
+    if (!txn)
         return;
-    Txn &t = it->second;
+    Txn &t = *txn;
     const Tick delay =
         retryTimeout_ << std::min<std::uint32_t>(t.attempts, 5);
     t.retryEv = eventq().scheduleDelta(
@@ -60,10 +60,10 @@ RemoteAgent::armRetry(std::uint32_t tid)
 void
 RemoteAgent::onRetryTimeout(std::uint32_t tid)
 {
-    auto it = txns_.find(tid);
-    if (it == txns_.end())
+    Txn *txn = txns_.find(tid);
+    if (!txn)
         return; // completed while the timeout event was in flight
-    Txn &t = it->second;
+    Txn &t = *txn;
     ++t.attempts;
     ENZIAN_ASSERT(t.attempts <= maxRetries_,
                   "request tid %u unanswered after %u retries "
@@ -112,13 +112,14 @@ RemoteAgent::parkOnLine(Addr line, std::function<void()> retry)
     lineWaiters_[line].push_back(std::move(retry));
 }
 
+template <typename Op>
 void
-RemoteAgent::submit(std::function<void()> op)
+RemoteAgent::submit(Op &&op)
 {
     if (txns_.size() < cfg_.max_outstanding)
         op();
     else
-        waiting_.push_back(std::move(op));
+        waiting_.emplace_back(std::forward<Op>(op));
 }
 
 void
@@ -146,14 +147,40 @@ RemoteAgent::sendRequest(Opcode op, Addr line, Txn txn,
         std::memcpy(msg.line.data(), payload, cache::lineSize);
     txn.start = now();
     txn.op = op;
-    auto it = txns_.emplace(tid, std::move(txn)).first;
-    outstanding_.sample(static_cast<double>(txns_.size()));
+    // Occupancy including this request.
+    outstanding_.sample(static_cast<double>(txns_.size() + 1));
+    issue(msg, std::move(txn));
+}
+
+void
+RemoteAgent::issue(const EciMsg &msg, Txn txn)
+{
+    txns_.insert(msg.tid, std::move(txn));
     reqs_.inc();
     fabric_.send(msg);
     if (retryTimeout_) {
-        it->second.resend = std::make_unique<EciMsg>(msg);
-        armRetry(tid);
+        // Looked up again: the send may have touched the table.
+        txns_.find(msg.tid)->resend = std::make_unique<EciMsg>(msg);
+        armRetry(msg.tid);
     }
+}
+
+std::optional<RemoteAgent::Txn>
+RemoteAgent::takeTxn(const EciMsg &rsp)
+{
+    Txn *txn = txns_.find(rsp.tid);
+    if (!txn && retryTimeout_) {
+        // Our retry raced the original's response; the first copy
+        // already completed this transaction.
+        dupRsps_.inc();
+        return std::nullopt;
+    }
+    ENZIAN_ASSERT(txn, "%s with unknown tid %u", eci::toString(rsp.op),
+                  rsp.tid);
+    eventq().cancel(txn->retryEv);
+    std::optional<Txn> out(std::move(*txn));
+    txns_.erase(rsp.tid);
+    return out;
 }
 
 void
@@ -171,24 +198,23 @@ RemoteAgent::readLine(Addr line, std::uint8_t *out, Done done)
                   "readLine of locally-homed line %llx",
                   static_cast<unsigned long long>(line));
     if (cache_) {
-        if (cache::LineFrame *f = cache_->access(line)) {
+        if (const cache::LineHandle held = cache_->access(line)) {
             hits_.inc();
             if (out)
-                std::memcpy(out, f->data.data(), cache::lineSize);
+                std::memcpy(out, held.data(), cache::lineSize);
             const Tick ready = now() + units::ns(cfg_.hit_latency_ns);
             eventq().schedule(
                 ready, [done = std::move(done), ready]() { done(ready); },
                 "l2-hit");
             return;
         }
-        if (lineBusy(line)) {
+        if (!markLineBusy(line)) {
             parkOnLine(line, [this, line, out,
                               done = std::move(done)]() mutable {
                 readLine(line, out, std::move(done));
             });
             return;
         }
-        markLineBusy(line);
     }
     submit([this, line, out, done = std::move(done)]() mutable {
         Txn t;
@@ -221,12 +247,12 @@ RemoteAgent::writeLine(Addr line, const std::uint8_t *data, Done done)
         });
         return;
     }
-    const proto::RemoteWriteStep step =
-        table_->remoteWrite(cache_->probe(line));
+    const cache::LineHandle held = cache_->lookup(line);
+    const proto::RemoteWriteStep step = table_->remoteWrite(held.state());
     if (step.hit) {
-        cache_->access(line); // bump LRU
-        cache_->writeData(line, data, cache::lineSize);
-        cache_->setState(line, step.stateAfter);
+        held.touch();
+        std::memcpy(held.data(), data, cache::lineSize);
+        held.setState(step.stateAfter);
         hits_.inc();
         const Tick ready = now() + units::ns(cfg_.hit_latency_ns);
         eventq().schedule(
@@ -294,21 +320,14 @@ RemoteAgent::ioRead(Addr offset, std::uint32_t len, IoDone done)
         t.iodone = std::move(done);
         t.start = now();
         t.op = Opcode::IOBLD;
-        const std::uint32_t tid = newTid();
         EciMsg msg;
         msg.op = Opcode::IOBLD;
         msg.src = node_;
         msg.dst = peer_;
-        msg.tid = tid;
+        msg.tid = newTid();
         msg.addr = offset;
         msg.ioLen = len;
-        auto it = txns_.emplace(tid, std::move(t)).first;
-        reqs_.inc();
-        fabric_.send(msg);
-        if (retryTimeout_) {
-            it->second.resend = std::make_unique<EciMsg>(msg);
-            armRetry(tid);
-        }
+        issue(msg, std::move(t));
     });
 }
 
@@ -325,22 +344,15 @@ RemoteAgent::ioWrite(Addr offset, std::uint64_t data, std::uint32_t len,
         };
         t.start = now();
         t.op = Opcode::IOBST;
-        const std::uint32_t tid = newTid();
         EciMsg msg;
         msg.op = Opcode::IOBST;
         msg.src = node_;
         msg.dst = peer_;
-        msg.tid = tid;
+        msg.tid = newTid();
         msg.addr = offset;
         msg.ioLen = len;
         msg.ioData = data;
-        auto it = txns_.emplace(tid, std::move(t)).first;
-        reqs_.inc();
-        fabric_.send(msg);
-        if (retryTimeout_) {
-            it->second.resend = std::make_unique<EciMsg>(msg);
-            armRetry(tid);
-        }
+        issue(msg, std::move(t));
     });
 }
 
@@ -388,20 +400,19 @@ RemoteAgent::flushAll(Done done)
         eventq().schedule(t, [done, t]() { done(t); }, "flush-empty");
         return;
     }
-    std::vector<std::pair<Addr, bool>> victims; // line, dirty
-    cache_->forEachLine([&](Addr line, const cache::LineFrame &f) {
+    std::vector<Addr> victims;
+    cache_->forEachLine([&](Addr line, MoesiState) {
         if (map_.homeOf(line) == peer_)
-            victims.emplace_back(line, cache::isDirty(f.state));
+            victims.push_back(line);
     });
     auto remaining = std::make_shared<std::size_t>(0);
-    for (const auto &[line, dirty] : victims) {
-        if (dirty) {
-            std::vector<std::uint8_t> data(cache::lineSize);
-            cache_->readData(line, data.data(), cache::lineSize);
+    for (const Addr line : victims) {
+        const std::optional<cache::Eviction> dirty =
             cache_->invalidate(line);
-            markLineBusy(line);
+        markLineBusy(line);
+        if (dirty) {
             ++*remaining;
-            submit([this, line, data = std::move(data), remaining,
+            submit([this, line, data = dirty->data, remaining,
                     done]() mutable {
                 Txn t;
                 t.kind = Kind::WriteBack;
@@ -414,8 +425,6 @@ RemoteAgent::flushAll(Done done)
                             data.data());
             });
         } else {
-            cache_->invalidate(line);
-            markLineBusy(line);
             Txn t;
             t.kind = Kind::Evict;
             t.line = line;
@@ -429,19 +438,12 @@ RemoteAgent::flushAll(Done done)
 }
 
 void
-RemoteAgent::completeFill(std::uint32_t tid, const EciMsg &msg)
+RemoteAgent::completeFill(const EciMsg &msg)
 {
-    auto it = txns_.find(tid);
-    if (it == txns_.end() && retryTimeout_) {
-        // Our retry raced the original's response; the first copy
-        // already completed this transaction.
-        dupRsps_.inc();
+    std::optional<Txn> taken = takeTxn(msg);
+    if (!taken)
         return;
-    }
-    ENZIAN_ASSERT(it != txns_.end(), "PEMD with unknown tid %u", tid);
-    eventq().cancel(it->second.retryEv);
-    Txn txn = std::move(it->second);
-    txns_.erase(it);
+    Txn &txn = *taken;
     recordCompletion(txn);
 
     switch (txn.kind) {
@@ -498,15 +500,16 @@ RemoteAgent::handleSnoop(const EciMsg &msg)
     rsp.tid = msg.tid;
     rsp.addr = line;
 
-    const MoesiState s =
-        cache_ ? cache_->probe(line) : MoesiState::Invalid;
-    const proto::RemoteSnoopStep step = table_->remoteSnoop(s, msg.op);
+    const cache::LineHandle held =
+        cache_ ? cache_->lookup(line) : cache::LineHandle{};
+    const proto::RemoteSnoopStep step =
+        table_->remoteSnoop(held.state(), msg.op);
 
     if (step.response == Opcode::SACKS) {
         ENZIAN_ASSERT(cache_, "SFWD hit at cacheless node");
         rsp.op = step.response;
-        cache_->readData(line, rsp.line.data(), cache::lineSize);
-        cache_->setState(line, step.stateAfter);
+        std::memcpy(rsp.line.data(), held.data(), cache::lineSize);
+        held.setState(step.stateAfter);
         rsp.hasData = step.hasData;
         fabric_.send(rsp);
         return;
@@ -516,7 +519,7 @@ RemoteAgent::handleSnoop(const EciMsg &msg)
     rsp.op = step.response;
     rsp.hasData = false;
     if (cache_) {
-        auto dirty = cache_->invalidate(line);
+        auto dirty = cache_->invalidate(held);
         if (dirty) {
             std::memcpy(rsp.line.data(), dirty->data.data(),
                         cache::lineSize);
@@ -525,13 +528,13 @@ RemoteAgent::handleSnoop(const EciMsg &msg)
     }
     // If a fill for this line is in flight, remember to drop it on
     // arrival (the home ordered the invalidation after our grant).
-    for (auto &[tid, txn] : txns_) {
+    txns_.forEach([line](std::uint32_t, Txn &txn) {
         if ((txn.kind == Kind::CachedRead ||
              txn.kind == Kind::CachedWriteMiss) &&
             txn.line == line) {
             txn.invalAfterFill = true;
         }
-    }
+    });
     fabric_.send(rsp);
 }
 
@@ -540,19 +543,13 @@ RemoteAgent::handle(const EciMsg &msg)
 {
     switch (msg.op) {
       case Opcode::PEMD:
-        completeFill(msg.tid, msg);
+        completeFill(msg);
         return;
       case Opcode::PACK: {
-        auto it = txns_.find(msg.tid);
-        if (it == txns_.end() && retryTimeout_) {
-            dupRsps_.inc();
+        std::optional<Txn> taken = takeTxn(msg);
+        if (!taken)
             return;
-        }
-        ENZIAN_ASSERT(it != txns_.end(), "PACK with unknown tid %u",
-                      msg.tid);
-        eventq().cancel(it->second.retryEv);
-        Txn txn = std::move(it->second);
-        txns_.erase(it);
+        Txn &txn = *taken;
         recordCompletion(txn);
         if (txn.kind == Kind::Upgrade) {
             ENZIAN_ASSERT(cache_, "upgrade without cache");
@@ -561,7 +558,8 @@ RemoteAgent::handle(const EciMsg &msg)
             // the sole Modified owner.
             const MoesiState after =
                 table_->remoteUpgradeResult(msg.grant);
-            if (cache_->probe(txn.line) == MoesiState::Invalid) {
+            const cache::LineHandle held = cache_->lookup(txn.line);
+            if (!held) {
                 // A racing SINV consumed our Shared copy before the
                 // upgrade was granted; the write carries the full
                 // line, so install it fresh.
@@ -571,10 +569,10 @@ RemoteAgent::handle(const EciMsg &msg)
                 if (ev)
                     handleEviction(*ev);
             } else {
-                cache_->access(txn.line);
-                cache_->writeData(txn.line, txn.data.data(),
-                                  cache::lineSize);
-                cache_->setState(txn.line, after);
+                held.touch();
+                std::memcpy(held.data(), txn.data.data(),
+                            cache::lineSize);
+                held.setState(after);
             }
         }
         if (txn.done)
@@ -587,16 +585,10 @@ RemoteAgent::handle(const EciMsg &msg)
       }
       case Opcode::PNAK: {
         // Retry after a small backoff.
-        auto it = txns_.find(msg.tid);
-        if (it == txns_.end() && retryTimeout_) {
-            dupRsps_.inc();
+        std::optional<Txn> taken = takeTxn(msg);
+        if (!taken)
             return;
-        }
-        ENZIAN_ASSERT(it != txns_.end(), "PNAK with unknown tid %u",
-                      msg.tid);
-        eventq().cancel(it->second.retryEv);
-        Txn txn = std::move(it->second);
-        txns_.erase(it);
+        Txn &txn = *taken;
         pnaks_.inc();
         logWarn("PNAK for line %llx, retrying",
                 static_cast<unsigned long long>(txn.line));
@@ -610,16 +602,10 @@ RemoteAgent::handle(const EciMsg &msg)
         handleSnoop(msg);
         return;
       case Opcode::IOBACK: {
-        auto it = txns_.find(msg.tid);
-        if (it == txns_.end() && retryTimeout_) {
-            dupRsps_.inc();
+        std::optional<Txn> taken = takeTxn(msg);
+        if (!taken)
             return;
-        }
-        ENZIAN_ASSERT(it != txns_.end(), "IOBACK with unknown tid %u",
-                      msg.tid);
-        eventq().cancel(it->second.retryEv);
-        Txn txn = std::move(it->second);
-        txns_.erase(it);
+        Txn &txn = *taken;
         recordCompletion(txn);
         if (txn.iodone)
             txn.iodone(now(), msg.ioData);

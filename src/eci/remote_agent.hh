@@ -20,9 +20,10 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "base/flat_map.hh"
 #include "cache/cache.hh"
 #include "eci/eci_link.hh"
 #include "eci/protocol_table.hh"
@@ -163,8 +164,10 @@ class RemoteAgent : public SimObject
         std::uint32_t attempts = 0;
     };
 
-    /** Launch or queue an operation needing an MSHR slot. */
-    void submit(std::function<void()> op);
+    /** Launch an operation needing an MSHR slot now if one is free
+     *  (no std::function is built then), else queue it. */
+    template <typename Op>
+    void submit(Op &&op);
     /** Release one slot and launch a queued op if any. */
     void releaseSlot();
 
@@ -176,19 +179,29 @@ class RemoteAgent : public SimObject
      * upgrades for one line is a protocol violation).
      */
     bool lineBusy(Addr line) const { return busyLines_.contains(line); }
-    void markLineBusy(Addr line) { busyLines_.insert(line); }
+    /** Mark @p line busy. @return false if it already was. */
+    bool markLineBusy(Addr line) { return busyLines_.insert(line).second; }
     void releaseLine(Addr line);
     void parkOnLine(Addr line, std::function<void()> retry);
 
     std::uint32_t newTid();
     void sendRequest(Opcode op, Addr line, Txn txn,
                      const std::uint8_t *payload = nullptr);
+    /** Record @p txn under @p msg's tid, send @p msg, and arm its
+     *  retry timer in recovery mode. */
+    void issue(const EciMsg &msg, Txn txn);
+    /**
+     * Remove and return the transaction @p rsp answers, cancelling its
+     * retry timer. In recovery mode a response for an already
+     * completed tid is counted and yields nothing.
+     */
+    std::optional<Txn> takeTxn(const EciMsg &rsp);
     /** (Re-)arm the retry timer of transaction @p tid. */
     void armRetry(std::uint32_t tid);
     void onRetryTimeout(std::uint32_t tid);
     /** Record RTT stats and the request span for a finished txn. */
     void recordCompletion(const Txn &txn);
-    void completeFill(std::uint32_t tid, const EciMsg &msg);
+    void completeFill(const EciMsg &msg);
     void handleSnoop(const EciMsg &msg);
     /** Dispose of a victim line evicted by a fill. */
     void handleEviction(const cache::Eviction &ev);
@@ -202,9 +215,9 @@ class RemoteAgent : public SimObject
     cache::Cache *cache_ = nullptr;
 
     std::uint32_t nextTid_ = 1;
-    std::unordered_map<std::uint32_t, Txn> txns_;
+    FlatMap<std::uint32_t, Txn> txns_;
     std::deque<std::function<void()>> waiting_;
-    std::unordered_set<Addr> busyLines_;
+    FlatSet<Addr> busyLines_;
     std::unordered_map<Addr, std::deque<std::function<void()>>>
         lineWaiters_;
 

@@ -15,6 +15,28 @@ BackingStore::BackingStore(std::uint64_t size) : size_(size)
 {
     if (size_ == 0)
         fatal("BackingStore of size 0");
+    const std::uint64_t last_page = (size_ - 1) / pageSize;
+    while (levels_ * fanoutBits < 64 &&
+           (last_page >> (levels_ * fanoutBits)) != 0)
+        ++levels_;
+    root_ = new Node();
+}
+
+BackingStore::~BackingStore()
+{
+    freeNode(root_, levels_ - 1);
+}
+
+void
+BackingStore::freeNode(Node *node, unsigned level)
+{
+    for (void *c : node->child) {
+        if (level == 0)
+            delete static_cast<Page *>(c);
+        else if (c)
+            freeNode(static_cast<Node *>(c), level - 1);
+    }
+    delete node;
 }
 
 void
@@ -30,19 +52,35 @@ BackingStore::checkRange(Addr addr, std::uint64_t len) const
 const BackingStore::Page *
 BackingStore::findPage(Addr addr) const
 {
-    auto it = pages_.find(addr / pageSize);
-    return it == pages_.end() ? nullptr : it->second.get();
+    const std::uint64_t pn = addr / pageSize;
+    const Node *node = root_;
+    for (unsigned level = levels_ - 1; level > 0; --level) {
+        node = static_cast<const Node *>(node->child[slotOf(pn, level)]);
+        if (!node)
+            return nullptr;
+    }
+    return static_cast<const Page *>(node->child[slotOf(pn, 0)]);
 }
 
 BackingStore::Page &
 BackingStore::touchPage(Addr addr)
 {
-    auto &slot = pages_[addr / pageSize];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
+    const std::uint64_t pn = addr / pageSize;
+    Node *node = root_;
+    for (unsigned level = levels_ - 1; level > 0; --level) {
+        void *&next = node->child[slotOf(pn, level)];
+        if (!next) {
+            next = new Node();
+            ++nodes_;
+        }
+        node = static_cast<Node *>(next);
     }
-    return *slot;
+    void *&page = node->child[slotOf(pn, 0)];
+    if (!page) {
+        page = new Page(); // value-initialised: zeroed
+        ++pages_;
+    }
+    return *static_cast<Page *>(page);
 }
 
 void

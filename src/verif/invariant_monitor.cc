@@ -102,7 +102,7 @@ InvariantMonitor::checkAllLines()
     auto collect = [&lines](cache::Cache *c) {
         if (!c)
             return;
-        c->forEachLine([&lines](Addr line, const cache::LineFrame &) {
+        c->forEachLine([&lines](Addr line, cache::MoesiState) {
             lines.insert(line);
         });
     };

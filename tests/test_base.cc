@@ -1,10 +1,14 @@
 /**
  * @file
- * Unit tests for base: rng, stats, units, logging.
+ * Unit tests for base: rng, stats, units, logging, flat tables.
  */
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
+#include "base/flat_map.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
@@ -320,6 +324,127 @@ TEST(LoggingDeathTest, AssertMacro)
 {
     EXPECT_DEATH(ENZIAN_ASSERT(1 == 2, "math broke %d", 5),
                  "math broke 5");
+}
+
+using Table = FlatMap<std::uint64_t, std::uint64_t>;
+using RefMap = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+/** Check @p t holds exactly @p ref. */
+void
+expectSameContents(Table &t, const RefMap &ref)
+{
+    ASSERT_EQ(t.size(), ref.size());
+    std::size_t seen = 0;
+    t.forEach([&](std::uint64_t k, std::uint64_t v) {
+        ++seen;
+        auto it = ref.find(k);
+        ASSERT_NE(it, ref.end()) << "stray key " << k;
+        EXPECT_EQ(v, it->second);
+    });
+    EXPECT_EQ(seen, ref.size());
+}
+
+/** One random insert, find or erase of a key from @p keys, mirrored. */
+void
+fuzzStep(Rng &rng, const std::vector<std::uint64_t> &keys, Table &t,
+         RefMap &ref)
+{
+    const std::uint64_t k = keys[rng.below(keys.size())];
+    switch (rng.below(3)) {
+      case 0: {
+        const std::uint64_t v = rng.next();
+        const auto [slot, inserted] = t.insert(k);
+        ASSERT_EQ(inserted, !ref.contains(k)) << k;
+        if (inserted)
+            *slot = v;
+        auto [it, ref_inserted] = ref.emplace(k, v);
+        EXPECT_EQ(*slot, it->second);
+        break;
+      }
+      case 1: {
+        const std::uint64_t *v = t.find(k);
+        auto it = ref.find(k);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << k;
+        if (v) {
+            EXPECT_EQ(*v, it->second);
+        }
+        break;
+      }
+      case 2:
+        EXPECT_EQ(t.erase(k), ref.erase(k) == 1) << k;
+        break;
+    }
+}
+
+TEST(FlatMap, FuzzOneProbeRunAcrossTheWrapAround)
+{
+    // Twelve keys (the most a 16-slot table holds before it grows):
+    // six homed in the last slot and six in the first, so every
+    // probe run wraps and erases shift entries back across the end.
+    Table t;
+    t.insert(0);
+    t.erase(0);
+    ASSERT_EQ(t.capacity(), Table::initialCapacity);
+    const std::size_t last = t.capacity() - 1;
+    std::vector<std::uint64_t> keys;
+    std::size_t at_end = 0;
+    std::size_t at_start = 0;
+    for (std::uint64_t k = 1; keys.size() < 12; ++k) {
+        const std::size_t home = t.homeSlot(k);
+        if (home == last && at_end < 6) {
+            ++at_end;
+            keys.push_back(k);
+        } else if (home == 0 && at_start < 6) {
+            ++at_start;
+            keys.push_back(k);
+        }
+    }
+    RefMap ref;
+    Rng rng(7);
+    for (int i = 0; i < 20000; ++i) {
+        fuzzStep(rng, keys, t, ref);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_EQ(t.capacity(), Table::initialCapacity);
+    expectSameContents(t, ref);
+}
+
+TEST(FlatMap, FuzzGrowingTableOfLineAddresses)
+{
+    // Line-aligned keys, as the agents use, over a pool large enough
+    // that the table grows several times and shrinks back by erases.
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t i = 0; i < 2048; ++i)
+        keys.push_back(i * 128);
+    Table t;
+    RefMap ref;
+    Rng rng(11);
+    for (int i = 0; i < 100000; ++i) {
+        fuzzStep(rng, keys, t, ref);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(t.capacity(), 1024u);
+    expectSameContents(t, ref);
+}
+
+TEST(FlatMap, SetAndIndexing)
+{
+    FlatSet<std::uint32_t> s;
+    EXPECT_FALSE(s.contains(3));
+    EXPECT_TRUE(s.insert(3).second);
+    EXPECT_FALSE(s.insert(3).second);
+    EXPECT_TRUE(s.contains(3));
+    EXPECT_TRUE(s.erase(3));
+    EXPECT_FALSE(s.erase(3));
+    EXPECT_TRUE(s.empty());
+
+    FlatMap<std::uint32_t, int> m;
+    m[5] = 1;
+    m[5] += 2;
+    EXPECT_EQ(*m.find(5), 3);
+    EXPECT_EQ(m.size(), 1u);
 }
 
 } // namespace

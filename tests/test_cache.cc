@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <set>
 
+#include "base/rng.hh"
 #include "cache/cache.hh"
 #include "cache/moesi.hh"
 
@@ -102,10 +104,10 @@ TEST(Cache, MissThenHit)
 {
     EventQueue eq;
     Cache c("l2", eq, smallConfig());
-    EXPECT_EQ(c.access(0x1000), nullptr);
+    EXPECT_FALSE(c.access(0x1000));
     EXPECT_EQ(c.misses(), 1u);
     c.fill(0x1000, MoesiState::Shared, pattern(1).data());
-    EXPECT_NE(c.access(0x1000), nullptr);
+    EXPECT_TRUE(c.access(0x1000));
     EXPECT_EQ(c.hits(), 1u);
 }
 
@@ -115,15 +117,17 @@ TEST(Cache, DataRoundTrip)
     Cache c("l2", eq, smallConfig());
     const auto d = pattern(9);
     c.fill(0x2000, MoesiState::Exclusive, d.data());
-    std::uint8_t back[lineSize];
-    c.readData(0x2000, back, lineSize);
-    EXPECT_EQ(std::memcmp(back, d.data(), lineSize), 0);
+    const LineHandle line = c.lookup(0x2000 + 16);
+    ASSERT_TRUE(line);
+    EXPECT_EQ(line.state(), MoesiState::Exclusive);
+    EXPECT_EQ(std::memcmp(line.data(), d.data(), lineSize), 0);
 
     const std::uint32_t word = 0xabcd1234;
-    c.writeData(0x2000 + 16, &word, sizeof(word));
+    std::memcpy(line.data() + 16, &word, sizeof(word));
     std::uint32_t got = 0;
-    c.readData(0x2000 + 16, &got, sizeof(got));
+    std::memcpy(&got, c.lookup(0x2000).data() + 16, sizeof(got));
     EXPECT_EQ(got, word);
+    EXPECT_EQ(c.hits(), 0u); // lookup() has no side effects
 }
 
 TEST(Cache, LruEvictsColdestWay)
@@ -182,10 +186,11 @@ TEST(Cache, SetStateTransitions)
     EventQueue eq;
     Cache c("l2", eq, smallConfig());
     c.fill(0x300, MoesiState::Exclusive, pattern(3).data());
-    c.setState(0x300, MoesiState::Owned);
+    c.lookup(0x300).setState(MoesiState::Owned);
     EXPECT_EQ(c.probe(0x300), MoesiState::Owned);
-    c.setState(0x300, MoesiState::Invalid);
+    c.lookup(0x300).setState(MoesiState::Invalid);
     EXPECT_EQ(c.probe(0x300), MoesiState::Invalid);
+    EXPECT_FALSE(c.lookup(0x300));
 }
 
 TEST(Cache, ForEachLineVisitsAllValid)
@@ -195,7 +200,7 @@ TEST(Cache, ForEachLineVisitsAllValid)
     c.fill(0x000, MoesiState::Shared, pattern(0).data());
     c.fill(0x480, MoesiState::Modified, pattern(1).data());
     std::set<Addr> seen;
-    c.forEachLine([&](Addr a, const LineFrame &) { seen.insert(a); });
+    c.forEachLine([&](Addr a, MoesiState) { seen.insert(a); });
     EXPECT_EQ(seen, (std::set<Addr>{0x000, 0x480}));
 }
 
@@ -207,9 +212,7 @@ TEST(Cache, RefillUpdatesExistingLine)
     auto ev = c.fill(0x500, MoesiState::Exclusive, pattern(2).data());
     EXPECT_FALSE(ev.has_value());
     EXPECT_EQ(c.probe(0x500), MoesiState::Exclusive);
-    std::uint8_t b = 0;
-    c.readData(0x500, &b, 1);
-    EXPECT_EQ(b, 2);
+    EXPECT_EQ(c.lookup(0x500).data()[0], 2);
 }
 
 TEST(CacheDeathTest, BadGeometryFatal)
@@ -258,7 +261,7 @@ TEST(LlcPolicy, LookupsAndRefillsCrossThePartition)
     c.fill(0x1000, MoesiState::Shared, pattern(1).data(), ownerLocal);
     // A foreign owner still hits, and a re-fill over a resident line
     // updates in place regardless of who owns the way.
-    EXPECT_NE(c.access(0x1000), nullptr);
+    EXPECT_TRUE(c.access(0x1000));
     auto ev = c.fill(0x1000, MoesiState::Exclusive, pattern(2).data(),
                      ownerRemote);
     EXPECT_FALSE(ev.has_value());
@@ -348,12 +351,12 @@ TEST(CacheLazySets, FreshCacheMissesAtFirstAndLastSet)
     EventQueue eq;
     Cache c("l2", eq, Cache::Config{}); // 16 MiB, 8192 sets
     std::size_t visited = 0;
-    c.forEachLine([&](Addr, const LineFrame &) { ++visited; });
+    c.forEachLine([&](Addr, MoesiState) { ++visited; });
     EXPECT_EQ(visited, 0u);
     const Addr last = Addr{c.sets() - 1} * lineSize;
     for (const Addr a : {Addr{0}, last}) {
         EXPECT_EQ(c.probe(a), MoesiState::Invalid);
-        EXPECT_EQ(c.access(a), nullptr);
+        EXPECT_FALSE(c.access(a));
     }
     EXPECT_EQ(c.misses(), 2u);
     EXPECT_EQ(c.allocatedSets(), 0u);
@@ -393,30 +396,27 @@ TEST(CacheLazySets, EvictionKeepsVictimBytesOfTheReusedFrame)
     EXPECT_EQ(ev->addr, 0u);
     EXPECT_EQ(std::memcmp(ev->data.data(), pattern(10).data(), lineSize),
               0);
-    std::uint8_t back[lineSize];
-    c.readData(fresh_line, back, lineSize);
-    EXPECT_EQ(std::memcmp(back, fresh.data(), lineSize), 0);
+    EXPECT_EQ(
+        std::memcmp(c.lookup(fresh_line).data(), fresh.data(), lineSize),
+        0);
 }
 
 TEST(CacheLazySets, RefillAfterInvalidateReadsNewBytes)
 {
     EventQueue eq;
     Cache c("l2", eq, smallConfig());
-    std::uint8_t back[lineSize];
-
     c.fill(0x600, MoesiState::Modified, pattern(1).data());
     ASSERT_TRUE(c.invalidate(0x600).has_value());
     const auto fresh = pattern(77);
     c.fill(0x600, MoesiState::Shared, fresh.data());
-    c.readData(0x600, back, lineSize);
-    EXPECT_EQ(std::memcmp(back, fresh.data(), lineSize), 0);
+    EXPECT_EQ(std::memcmp(c.lookup(0x600).data(), fresh.data(), lineSize),
+              0);
 
-    // Invalid frames keep stale bytes; a data-less fill zeroes them.
-    c.setState(0x600, MoesiState::Invalid);
+    // Invalid ways keep stale bytes; a data-less fill zeroes them.
+    c.lookup(0x600).setState(MoesiState::Invalid);
     c.fill(0x600, MoesiState::Exclusive, nullptr);
-    c.readData(0x600, back, lineSize);
     const std::uint8_t zeros[lineSize] = {};
-    EXPECT_EQ(std::memcmp(back, zeros, lineSize), 0);
+    EXPECT_EQ(std::memcmp(c.lookup(0x600).data(), zeros, lineSize), 0);
 }
 
 TEST(CacheLazySets, ForEachLineRebuildsAddressesInFirstAndLastSet)
@@ -431,8 +431,116 @@ TEST(CacheLazySets, ForEachLineRebuildsAddressesInFirstAndLastSet)
         c.fill(a, MoesiState::Shared, pattern(1).data());
     EXPECT_EQ(c.allocatedSets(), 2u);
     std::set<Addr> seen;
-    c.forEachLine([&](Addr a, const LineFrame &) { seen.insert(a); });
+    c.forEachLine([&](Addr a, MoesiState) { seen.insert(a); });
     EXPECT_EQ(seen, lines);
+}
+
+// ---------------------------------------------------------------------
+// Replacement decisions: a seeded operation mix, hashed end to end.
+// ---------------------------------------------------------------------
+
+/** FNV-1a over every observable outcome of the mix. */
+class OutcomeHash
+{
+  public:
+    void add(const void *p, std::size_t n)
+    {
+        const auto *b = static_cast<const std::uint8_t *>(p);
+        for (std::size_t i = 0; i < n; ++i)
+            h_ = (h_ ^ b[i]) * 0x100000001b3ull;
+    }
+    template <typename T>
+    void add(const T &v)
+    {
+        add(&v, sizeof(v));
+    }
+    void add(const std::optional<Eviction> &ev)
+    {
+        add(ev.has_value());
+        if (ev) {
+            add(ev->addr);
+            add(ev->state);
+            add(ev->data.data(), lineSize);
+        }
+    }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/**
+ * Drive @p ops random fill/access/probe/invalidate/setState/
+ * hasFreeFrame calls and line reads over 64 lines of an 8-set x 4-way
+ * cache and hash every victim, state, byte and lookup result.
+ */
+std::uint64_t
+replacementMixHash(ReplPolicy policy, std::uint64_t seed, int ops)
+{
+    EventQueue eq;
+    Cache::Config cfg = smallConfig();
+    cfg.policy = policy;
+    cfg.adapt_epoch = 16;
+    Cache c("l2", eq, cfg);
+    Rng rng(seed);
+    OutcomeHash h;
+    const MoesiState valid[] = {MoesiState::Shared, MoesiState::Exclusive,
+                                MoesiState::Owned, MoesiState::Modified};
+    std::uint8_t bytes[lineSize];
+    for (int i = 0; i < ops; ++i) {
+        const Addr line = rng.below(64) * lineSize;
+        const std::uint32_t owner = static_cast<std::uint32_t>(rng.below(2));
+        switch (rng.below(8)) {
+          case 0:
+          case 1: {
+            for (auto &b : bytes)
+                b = static_cast<std::uint8_t>(rng.next());
+            const bool with_data = rng.below(4) != 0;
+            h.add(c.fill(line, valid[rng.below(4)],
+                         with_data ? bytes : nullptr, owner));
+            break;
+          }
+          case 2:
+            h.add(static_cast<bool>(c.access(line)));
+            break;
+          case 3:
+            h.add(c.probe(line));
+            break;
+          case 4:
+            h.add(c.invalidate(line));
+            break;
+          case 5:
+            if (const LineHandle held = c.lookup(line)) {
+                const std::uint64_t pick = rng.below(5);
+                held.setState(pick == 4 ? MoesiState::Invalid
+                                        : valid[pick]);
+            }
+            break;
+          case 6:
+            h.add(c.hasFreeFrame(line, owner));
+            break;
+          case 7:
+            if (const LineHandle held = c.lookup(line))
+                h.add(held.data(), lineSize);
+            break;
+        }
+    }
+    h.add(c.hits());
+    h.add(c.misses());
+    h.add(c.evictions());
+    return h.value();
+}
+
+TEST(CacheReplacement, SeededMixMatchesPinnedOutcomes)
+{
+    // Pinned from the frame-per-way layout the dense arrays replaced:
+    // any change in victim choice, state or bytes moves these.
+    EXPECT_EQ(replacementMixHash(ReplPolicy::Lru, 1, 20000),
+              0x7f01bac1eae544ddull);
+    EXPECT_EQ(replacementMixHash(ReplPolicy::WayPartition, 2, 20000),
+              0x2188ff60bd670818ull);
+    EXPECT_EQ(replacementMixHash(ReplPolicy::Adaptive, 3, 20000),
+              0x3d1251e460d7fbd2ull);
 }
 
 } // namespace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "base/flat_map.hh"
 #include "platform/enzian_machine.hh"
 #include "platform/platform_factory.hh"
 #include "trace/checker.hh"
@@ -344,6 +347,58 @@ TEST_F(EciProtocolTest, ConcurrentMixedTrafficCompletes)
     m->cpuMem().store().read(0x20000, mem_now, cache::lineSize);
     EXPECT_EQ(std::memcmp(mem_now, pattern(0).data(), cache::lineSize),
               0);
+}
+
+TEST(RemoteAgentTable, TransactionsOutgrowTheInitialTable)
+{
+    // More MSHRs than the transaction table's first allocation, so
+    // the table grows while transactions are live. Recovery mode also
+    // makes every request find its entry again after the send.
+    EnzianMachine::Config cfg = platform::enzianDefaultConfig();
+    cfg.cpu_dram_bytes = 64ull << 20;
+    cfg.fpga_dram_bytes = 64ull << 20;
+    const std::uint32_t limit =
+        4 * FlatMap<std::uint32_t, int>::initialCapacity;
+    cfg.remote_agent.max_outstanding = limit;
+    EnzianMachine m(cfg);
+    m.cpuRemote().enableRecovery(1000.0, 8);
+    m.fpgaRemote().enableRecovery(1000.0, 8);
+    m.cpuHome().enableRecovery(1000.0, 8);
+    m.fpgaHome().enableRecovery(1000.0, 8);
+
+    const std::uint32_t n = 3 * limit;
+    std::vector<std::array<std::uint8_t, cache::lineSize>> cpu_got(n);
+    std::vector<std::array<std::uint8_t, cache::lineSize>> fpga_got(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::array<std::uint8_t, 8> tag{
+            static_cast<std::uint8_t>(i), 0x11};
+        m.fpgaMem().store().write(Addr{i} * cache::lineSize, tag.data(),
+                                  tag.size());
+        m.cpuMem().store().write(Addr{i} * cache::lineSize, tag.data(),
+                                 tag.size());
+    }
+    std::uint32_t completed = 0;
+    std::size_t peak = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const Addr off = Addr{i} * cache::lineSize;
+        m.cpuRemote().readLine(AddressMap::fpgaDramBase + off,
+                               cpu_got[i].data(),
+                               [&](Tick) { ++completed; });
+        m.fpgaRemote().readLineUncached(off, fpga_got[i].data(),
+                                        [&](Tick) { ++completed; });
+        peak = std::max(peak, m.cpuRemote().outstanding());
+    }
+    EXPECT_EQ(peak, limit);
+    m.eventq().run();
+    EXPECT_EQ(completed, 2 * n);
+    EXPECT_EQ(m.cpuRemote().outstanding(), 0u);
+    EXPECT_EQ(m.cpuRemote().retriesSent(), 0u);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        EXPECT_EQ(cpu_got[i][0], static_cast<std::uint8_t>(i)) << i;
+        EXPECT_EQ(cpu_got[i][1], 0x11) << i;
+        EXPECT_EQ(fpga_got[i][0], static_cast<std::uint8_t>(i)) << i;
+        EXPECT_EQ(fpga_got[i][1], 0x11) << i;
+    }
 }
 
 TEST_F(EciProtocolTest, UncachedReadDoesNotAllocateDirectory)

@@ -59,6 +59,87 @@ TEST(BackingStore, SparseFootprint)
     BackingStore s(1ull << 40); // 1 TiB addressable
     s.store<std::uint64_t>(512ull << 30, 1); // touch one page
     EXPECT_EQ(s.pagesAllocated(), 1u);
+    // One radix path from the root: four 4 KiB nodes cover 1 TiB.
+    EXPECT_LE(s.nodesAllocated(), 4u);
+    EXPECT_EQ(s.load<std::uint64_t>(512ull << 30), 1u);
+}
+
+/** Write a counting pattern across @p addr and read it back. */
+void
+expectRoundTrip(BackingStore &s, Addr addr, std::size_t len,
+                std::uint8_t seed)
+{
+    std::vector<std::uint8_t> data(len);
+    for (std::size_t i = 0; i < len; ++i)
+        data[i] = static_cast<std::uint8_t>(seed + i * 3);
+    s.write(addr, data.data(), len);
+    std::vector<std::uint8_t> back(len);
+    s.read(addr, back.data(), len);
+    EXPECT_EQ(data, back) << "at " << addr;
+}
+
+TEST(BackingStore, RoundTripsAcrossPageLeafAndTopBoundaries)
+{
+    // 3 GiB: three levels of nodes. A leaf node spans 2 MiB of pages;
+    // each root child spans 1 GiB.
+    BackingStore s(3ull << 30);
+    const Addr page = BackingStore::pageSize;
+    const Addr leaf = 512 * page;
+    const Addr top = 512 * leaf;
+    expectRoundTrip(s, page - 64, 128, 1);
+    expectRoundTrip(s, 5 * leaf - 100, 300, 2);
+    expectRoundTrip(s, top - 200, 400, 3);
+    expectRoundTrip(s, 2 * top - page - 8, 2 * page + 16, 4);
+    // Each straddle touched two pages, the last one four.
+    EXPECT_EQ(s.pagesAllocated(), 2u + 2u + 2u + 4u);
+}
+
+TEST(BackingStore, LastByteOfAnOddSizedStore)
+{
+    // Not a multiple of a page, a leaf span or a root-child span.
+    const std::uint64_t size = (2ull << 30) + 3 * 4096 + 17;
+    BackingStore s(size);
+    s.store<std::uint8_t>(size - 1, 0x5c);
+    EXPECT_EQ(s.load<std::uint8_t>(size - 1), 0x5c);
+    EXPECT_EQ(s.load<std::uint8_t>(size - 2), 0);
+    EXPECT_EQ(s.pagesAllocated(), 1u);
+    expectRoundTrip(s, size - 5000, 5000, 9);
+}
+
+TEST(BackingStore, UntouchedRangesReadZero)
+{
+    BackingStore s(4ull << 30);
+    s.fill(3 * 4096, 0xff, 4096); // one page, mid leaf node
+    // Reads over the pages beside the touched one, and across an
+    // untouched leaf-node and root-child boundary, come back zero.
+    const Addr from = 0;
+    const std::size_t len = 4 * 4096;
+    std::vector<std::uint8_t> buf(len, 0xaa);
+    s.read(from, buf.data(), len);
+    for (std::size_t i = 0; i < len; ++i)
+        ASSERT_EQ(buf[i], i >= 3 * 4096 ? 0xff : 0) << i;
+    std::vector<std::uint8_t> far(8192, 0xaa);
+    s.read((1ull << 30) - 4096, far.data(), far.size());
+    for (const std::uint8_t b : far)
+        ASSERT_EQ(b, 0);
+    EXPECT_EQ(s.pagesAllocated(), 1u);
+}
+
+TEST(BackingStore, PagesAllocatedCountsPagesOnly)
+{
+    BackingStore s(4ull << 30);
+    EXPECT_EQ(s.pagesAllocated(), 0u);
+    EXPECT_EQ(s.nodesAllocated(), 1u); // the root
+    // Two pages under two different root children: each brings its
+    // own middle and leaf node, but only pages are counted.
+    s.store<std::uint32_t>(0, 1);
+    s.store<std::uint32_t>(3ull << 30, 2);
+    EXPECT_EQ(s.pagesAllocated(), 2u);
+    EXPECT_EQ(s.nodesAllocated(), 5u);
+    // A second page under an existing leaf node adds no node.
+    s.store<std::uint32_t>(4096, 3);
+    EXPECT_EQ(s.pagesAllocated(), 3u);
+    EXPECT_EQ(s.nodesAllocated(), 5u);
 }
 
 TEST(BackingStoreDeathTest, OutOfRangePanics)

@@ -204,9 +204,9 @@ TEST(Machine, HomeReadAllocateKeepsResidentCopy)
                                           ? cache::MoesiState::Shared
                                           : cache::MoesiState::Invalid);
         if (knob) {
-            std::uint8_t cached[cache::lineSize] = {};
-            m.l2().readData(line, cached, cache::lineSize);
-            EXPECT_EQ(cached[17], 0x5a);
+            const cache::LineHandle cached = m.l2().lookup(line);
+            ASSERT_TRUE(cached);
+            EXPECT_EQ(cached.data()[17], 0x5a);
         }
     }
 }
