@@ -22,8 +22,6 @@
 #include "bench_common.hh"
 
 #include <chrono>
-#include <queue>
-#include <unordered_set>
 
 #include "base/rng.hh"
 
@@ -39,83 +37,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
                std::chrono::steady_clock::now() - t0)
         .count();
 }
-
-/**
- * The pre-overhaul kernel (std::priority_queue of std::function +
- * lazy-cancellation hash set), kept verbatim inside the bench so the
- * speedup is measured in-process, against the same box and load —
- * wall-clock ratios across separate runs are too noisy to gate CI on.
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Tick now() const { return now_; }
-
-    std::uint64_t
-    schedule(Tick when, Callback cb)
-    {
-        const std::uint64_t id = nextId_++;
-        queue_.push(Pending{when, id, std::move(cb)});
-        return id;
-    }
-
-    std::uint64_t
-    scheduleDelta(Tick delay, Callback cb)
-    {
-        return schedule(now_ + delay, std::move(cb));
-    }
-
-    void cancel(std::uint64_t id) { cancelled_.insert(id); }
-
-    bool
-    runOne()
-    {
-        while (!queue_.empty()) {
-            Pending ev = queue_.top();
-            queue_.pop();
-            if (auto it = cancelled_.find(ev.id);
-                it != cancelled_.end()) {
-                cancelled_.erase(it);
-                continue;
-            }
-            now_ = ev.when;
-            ev.cb();
-            return true;
-        }
-        return false;
-    }
-
-    void
-    run()
-    {
-        while (runOne()) {
-        }
-    }
-
-  private:
-    struct Pending
-    {
-        Tick when;
-        std::uint64_t id;
-        Callback cb;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Pending &a, const Pending &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.id > b.id;
-        }
-    };
-    Tick now_ = 0;
-    std::uint64_t nextId_ = 1;
-    std::priority_queue<Pending, std::vector<Pending>, Later> queue_;
-    std::unordered_set<std::uint64_t> cancelled_;
-};
 
 /**
  * Dispatch-heavy mix: @p actors periodic self-rescheduling reusable
@@ -153,15 +74,13 @@ runDispatchMix(std::uint64_t actors, std::uint64_t total)
 }
 
 /**
- * The same mix on @p eq with the pre-overhaul idiom — a fresh
- * function object copied into the queue per occurrence. Runs on
- * either kernel, so it doubles as the legacy-vs-new A/B probe.
+ * The same mix with a fresh function object copied into the queue per
+ * occurrence instead of a reusable Event.
  */
-template <typename Queue>
 double
-runDispatchLambdaMix(Queue &eq, std::uint64_t actors,
-                     std::uint64_t total)
+runDispatchLambdaMix(std::uint64_t actors, std::uint64_t total)
 {
+    EventQueue eq;
     std::uint64_t fired = 0;
     std::vector<std::function<void()>> handlers(actors);
     for (std::uint64_t i = 0; i < actors; ++i) {
@@ -180,51 +99,6 @@ runDispatchLambdaMix(Queue &eq, std::uint64_t actors,
               static_cast<unsigned long long>(fired),
               static_cast<unsigned long long>(total));
     return static_cast<double>(fired) / secs;
-}
-
-/** Legacy kernel running the one-shot mix. */
-double
-runLegacyOneshotMix(std::uint64_t batch, std::uint64_t rounds)
-{
-    LegacyEventQueue eq;
-    Rng rng(42);
-    std::uint64_t fired = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-        for (std::uint64_t i = 0; i < batch; ++i)
-            eq.scheduleDelta(rng.below(1000), [&fired]() { ++fired; });
-        eq.run();
-    }
-    const double secs = secondsSince(t0);
-    if (fired != batch * rounds)
-        fatal("legacy oneshot fired %llu",
-              static_cast<unsigned long long>(fired));
-    return static_cast<double>(fired) / secs;
-}
-
-/** Legacy kernel running the cancel mix. */
-double
-runLegacyCancelMix(std::uint64_t batch, std::uint64_t rounds)
-{
-    LegacyEventQueue eq;
-    Rng rng(1337);
-    std::uint64_t fired = 0;
-    std::vector<std::uint64_t> ids(batch);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-        for (std::uint64_t i = 0; i < batch; ++i) {
-            ids[i] = eq.scheduleDelta(rng.below(1000),
-                                      [&fired]() { ++fired; });
-        }
-        for (std::uint64_t i = 0; i < batch; i += 2)
-            eq.cancel(ids[i]);
-        eq.run();
-    }
-    const double secs = secondsSince(t0);
-    if (fired != batch / 2 * rounds)
-        fatal("legacy cancel fired %llu",
-              static_cast<unsigned long long>(fired));
-    return static_cast<double>(batch * rounds) / secs;
 }
 
 /** One-shot mix: batches of fresh lambdas at seeded random offsets. */
@@ -294,12 +168,9 @@ main()
     header("Event kernel throughput (no model attached)");
     BenchReport rep("kernel_events");
 
-    // Interleave legacy and new kernels, best of kReps, so the
-    // reported speedups are ratios between same-box, same-load runs.
-    //
-    // 64 actors is the representative live-event set (the fig06/07
-    // benches keep tens of events in flight); 1024 is a stress point
-    // where pure heap depth dominates both kernels.
+    // Best of kReps per mix. 64 actors is the representative
+    // live-event set (the fig06/07 benches keep tens of events in
+    // flight); 1024 is a stress point where heap depth dominates.
     constexpr int kReps = 3;
     constexpr std::uint64_t kActorsTypical = 64;
     constexpr std::uint64_t kActorsStress = 1024;
@@ -307,77 +178,35 @@ main()
     constexpr std::uint64_t kBatch = 4096;
     constexpr std::uint64_t kRounds = 300;
 
-    double dispatch = 0, legacy_dispatch = 0, lambda = 0;
-    double dispatch1k = 0, legacy_dispatch1k = 0;
-    double oneshot = 0, legacy_oneshot = 0;
-    double cancel = 0, legacy_cancel = 0;
+    double dispatch = 0, lambda = 0, dispatch1k = 0;
+    double oneshot = 0, cancel = 0;
     for (int r = 0; r < kReps; ++r) {
-        {
-            LegacyEventQueue lq;
-            legacy_dispatch = std::max(
-                legacy_dispatch,
-                runDispatchLambdaMix(lq, kActorsTypical,
-                                     kDispatchTotal));
-        }
         dispatch = std::max(dispatch, runDispatchMix(kActorsTypical,
                                                      kDispatchTotal));
-        {
-            EventQueue nq;
-            lambda = std::max(lambda,
-                              runDispatchLambdaMix(nq, kActorsTypical,
-                                                   kDispatchTotal));
-        }
-        {
-            LegacyEventQueue lq;
-            legacy_dispatch1k = std::max(
-                legacy_dispatch1k,
-                runDispatchLambdaMix(lq, kActorsStress,
-                                     kDispatchTotal));
-        }
+        lambda = std::max(lambda, runDispatchLambdaMix(kActorsTypical,
+                                                       kDispatchTotal));
         dispatch1k = std::max(dispatch1k,
                               runDispatchMix(kActorsStress,
                                              kDispatchTotal));
-        legacy_oneshot =
-            std::max(legacy_oneshot, runLegacyOneshotMix(kBatch,
-                                                         kRounds));
         oneshot = std::max(oneshot, runOneshotMix(kBatch, kRounds));
-        legacy_cancel =
-            std::max(legacy_cancel, runLegacyCancelMix(kBatch,
-                                                       kRounds));
         cancel = std::max(cancel, runCancelMix(kBatch, kRounds));
     }
 
-    std::printf("%-26s %10s %10s %8s\n", "mix (M events/s)", "legacy",
-                "new", "speedup");
-    std::printf("%-26s %10.2f %10.2f %7.2fx\n", "dispatch (64 actors)",
-                legacy_dispatch / 1e6, dispatch / 1e6,
-                dispatch / legacy_dispatch);
-    std::printf("%-26s %10.2f %10.2f %7.2fx\n",
-                "dispatch (fresh lambda)", legacy_dispatch / 1e6,
-                lambda / 1e6, lambda / legacy_dispatch);
-    std::printf("%-26s %10.2f %10.2f %7.2fx\n",
-                "dispatch (1024 actors)", legacy_dispatch1k / 1e6,
-                dispatch1k / 1e6, dispatch1k / legacy_dispatch1k);
-    std::printf("%-26s %10.2f %10.2f %7.2fx\n",
-                "oneshot schedule+drain", legacy_oneshot / 1e6,
-                oneshot / 1e6, oneshot / legacy_oneshot);
-    std::printf("%-26s %10.2f %10.2f %7.2fx\n", "schedule+cancel half",
-                legacy_cancel / 1e6, cancel / 1e6,
-                cancel / legacy_cancel);
+    std::printf("%-26s %10s\n", "mix", "M events/s");
+    std::printf("%-26s %10.2f\n", "dispatch (64 actors)", dispatch / 1e6);
+    std::printf("%-26s %10.2f\n", "dispatch (fresh lambda)",
+                lambda / 1e6);
+    std::printf("%-26s %10.2f\n", "dispatch (1024 actors)",
+                dispatch1k / 1e6);
+    std::printf("%-26s %10.2f\n", "oneshot schedule+drain",
+                oneshot / 1e6);
+    std::printf("%-26s %10.2f\n", "schedule+cancel half", cancel / 1e6);
 
     rep.add("dispatch_eps", dispatch);
-    rep.add("legacy_dispatch_eps", legacy_dispatch);
-    rep.add("dispatch_speedup", dispatch / legacy_dispatch);
     rep.add("dispatch_lambda_eps", lambda);
     rep.add("dispatch1024_eps", dispatch1k);
-    rep.add("legacy_dispatch1024_eps", legacy_dispatch1k);
-    rep.add("dispatch1024_speedup", dispatch1k / legacy_dispatch1k);
     rep.add("oneshot_eps", oneshot);
-    rep.add("legacy_oneshot_eps", legacy_oneshot);
-    rep.add("oneshot_speedup", oneshot / legacy_oneshot);
     rep.add("cancel_eps", cancel);
-    rep.add("legacy_cancel_eps", legacy_cancel);
-    rep.add("cancel_speedup", cancel / legacy_cancel);
 
     return 0;
 }

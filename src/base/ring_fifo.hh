@@ -33,6 +33,9 @@ class RingFifo
         ++count_;
     }
 
+    /** The oldest element; precondition: !empty(). */
+    const T &front() const { return buf_[head_]; }
+
     /** Remove and return the oldest element; precondition: !empty(). */
     T
     pop()

@@ -17,6 +17,15 @@ BumpInWire::BumpInWire(std::string name, EventQueue &eq,
     : SimObject(std::move(name), eq), netLink_(net_link),
       hostLink_(host_link), cfg_(cfg)
 {
+    pipe_.init(
+        eq,
+        [this](Tick, Transit &&t) {
+            if (t.toHost)
+                hostLink_.send(0, std::move(t.frame)); // FPGA owns side 0
+            else
+                netLink_.send(1, std::move(t.frame));
+        },
+        "biw-forward");
     // The FPGA owns side 1 of the switch-facing link and side 0 of
     // the NIC-facing link; frames arriving on either side traverse
     // the inline pipeline to the other.
@@ -51,17 +60,7 @@ BumpInWire::forward(bool to_host, Tick when, Frame &&frame)
     const Tick ready = start + stream + units::ns(cfg_.pipeline_ns);
 
     frame.bytes = out;
-    pipe_.push(Transit{to_host, std::move(frame)});
-    eventq().schedule(
-        ready,
-        [this]() {
-            Transit t = pipe_.pop();
-            if (t.toHost)
-                hostLink_.send(0, std::move(t.frame)); // FPGA owns side 0
-            else
-                netLink_.send(1, std::move(t.frame));
-        },
-        "biw-forward");
+    pipe_.push(ready, Transit{to_host, std::move(frame)});
 }
 
 } // namespace enzian::net

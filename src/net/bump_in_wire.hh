@@ -22,8 +22,8 @@
 
 #include <functional>
 
-#include "base/ring_fifo.hh"
 #include "net/ethernet.hh"
+#include "sim/delay_line.hh"
 
 namespace enzian::net {
 
@@ -83,9 +83,10 @@ class BumpInWire : public SimObject
     /**
      * Frames in the pipeline. Both directions share it and each frame
      * starts after the previous one streamed, so frames leave in
-     * arrival order and the exit event captures only `this`.
+     * arrival order and the pipeline keeps one heap node, for its
+     * oldest frame.
      */
-    RingFifo<Transit> pipe_;
+    sim::DelayLine<Transit> pipe_;
     Counter toHost_;
     Counter toNet_;
     Counter bytesIn_;

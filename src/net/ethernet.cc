@@ -19,6 +19,8 @@ EthernetLink::EthernetLink(std::string name, EventQueue &eq,
     if (cfg_.mtu == 0)
         fatal("ethernet link '%s': zero MTU", SimObject::name().c_str());
     lineBw_ = cfg_.rate_gbps * 1e9 / 8.0;
+    initWire(0, eq);
+    initWire(1, eq);
     stats().addCounter("bytes_tx_0", &bytes_[0]);
     stats().addCounter("bytes_tx_1", &bytes_[1]);
 }
@@ -59,7 +61,22 @@ EthernetLink::bindDomains(sim::DomainScheduler &sched,
                     handlers_[side ^ 1](f.delivery, std::move(frame));
                 });
         }
+    } else {
+        // Both sides in one domain: the wires deliver on its queue.
+        initWire(0, dirBind_.clock(0));
+        initWire(1, dirBind_.clock(1));
     }
+}
+
+void
+EthernetLink::initWire(PortSide from, EventQueue &eq)
+{
+    wire_[from].init(
+        eq,
+        [this, from](Tick when, Frame &&frame) {
+            handlers_[from ^ 1](when, std::move(frame));
+        },
+        "eth-deliver");
 }
 
 void
@@ -104,19 +121,9 @@ EthernetLink::send(PortSide from, Frame frame)
         (*lanes_)[from].push(delivery, InFlight{delivery, std::move(frame)});
         return delivery;
     }
-    wire_[from].push(InFlight{delivery, std::move(frame)});
     // Legacy mode, or both sides in one domain: deliver locally.
-    EventQueue &q = dirBind_.bound() ? dirBind_.clock(from) : eventq();
-    q.schedule(delivery, [this, from]() { deliverNext(from); },
-               "eth-deliver");
+    wire_[from].push(delivery, std::move(frame));
     return delivery;
-}
-
-void
-EthernetLink::deliverNext(PortSide from)
-{
-    InFlight f = wire_[from].pop();
-    handlers_[from ^ 1](f.delivery, std::move(f.frame));
 }
 
 } // namespace enzian::net

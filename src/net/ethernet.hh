@@ -16,9 +16,9 @@
 #include <functional>
 #include <memory>
 
-#include "base/ring_fifo.hh"
 #include "net/frame.hh"
 #include "sim/channel_lane.hh"
+#include "sim/delay_line.hh"
 #include "sim/domain_binding.hh"
 #include "sim/sim_object.hh"
 
@@ -97,15 +97,15 @@ class EthernetLink : public SimObject
     }
 
   private:
-    /** A frame on the wire, due at the far side at @c delivery. */
+    /** A frame crossing domains, due at the far side at @c delivery. */
     struct InFlight
     {
         Tick delivery = 0;
         Frame frame;
     };
 
-    /** Hand the oldest frame sent from @p from to the other side. */
-    void deliverNext(PortSide from);
+    /** Bind side @p from's wire to @p eq, delivering to the far side. */
+    void initWire(PortSide from, EventQueue &eq);
 
     Config cfg_;
     double lineBw_;
@@ -119,9 +119,9 @@ class EthernetLink : public SimObject
      * Frames in flight per sending side when delivery stays on one
      * queue. A side delivers in send order (each frame starts after
      * the previous one left the serializer, and the latency is
-     * fixed), so the delivery event captures only the side.
+     * fixed), so each side keeps one heap node, for its oldest frame.
      */
-    RingFifo<InFlight> wire_[2];
+    sim::DelayLine<Frame> wire_[2];
 
     // --- parallel domain mode state (unbound in legacy mode) -------
     /** Per-side source clock + outbound mailbox, bound with this

@@ -33,6 +33,13 @@ Switch::Switch(std::string name, EventQueue &eq, std::uint32_t ports,
     if (ports < 2)
         fatal("switch '%s' needs at least 2 ports",
               SimObject::name().c_str());
+    fabric_.init(
+        eq,
+        [this](Tick, Frame &&frame) {
+            const std::uint32_t dst = frame.dst;
+            ports_[dst]->send(1, std::move(frame));
+        },
+        "switch-forward");
     for (std::uint32_t i = 0; i < ports; ++i) {
         ports_.push_back(std::make_unique<EthernetLink>(
             SimObject::name() + ".port" + std::to_string(i), eq,
@@ -43,10 +50,8 @@ Switch::Switch(std::string name, EventQueue &eq, std::uint32_t ports,
         ports_[i]->setReceiver(1, [this](Tick, Frame &&frame) {
             ENZIAN_ASSERT(frame.dst < ports_.size(),
                           "frame for unknown port %u", frame.dst);
-            fabric_.push(std::move(frame));
-            eventq().scheduleDelta(units::ns(cfg_.forward_ns),
-                                   [this]() { forwardNext(); },
-                                   "switch-forward");
+            fabric_.push(now() + units::ns(cfg_.forward_ns),
+                         std::move(frame));
         });
     }
 }
@@ -86,14 +91,6 @@ void
 Switch::setEndpoint(std::uint32_t port_no, EthernetLink::Handler h)
 {
     ports_.at(port_no)->setReceiver(0, std::move(h));
-}
-
-void
-Switch::forwardNext()
-{
-    Frame frame = fabric_.pop();
-    const std::uint32_t dst = frame.dst;
-    ports_[dst]->send(1, std::move(frame));
 }
 
 Tick

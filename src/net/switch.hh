@@ -14,8 +14,8 @@
 #include <memory>
 #include <vector>
 
-#include "base/ring_fifo.hh"
 #include "net/ethernet.hh"
+#include "sim/delay_line.hh"
 
 namespace enzian::net {
 
@@ -78,17 +78,15 @@ class Switch : public SimObject
     }
 
   private:
-    /** Send the oldest frame in the fabric out of its port. */
-    void forwardNext();
-
     Config cfg_;
     std::vector<std::unique_ptr<EthernetLink>> ports_;
     /**
      * Frames inside the fabric. All ports deliver into the switch's
      * own queue and the forwarding delay is fixed, so frames leave in
-     * arrival order and the forward event captures only `this`.
+     * arrival order and the fabric keeps one heap node, for its
+     * oldest frame.
      */
-    RingFifo<Frame> fabric_;
+    sim::DelayLine<Frame> fabric_;
 };
 
 } // namespace enzian::net

@@ -23,6 +23,10 @@ TcpStack::TcpStack(std::string name, EventQueue &eq, Switch &sw,
     sw_.setEndpoint(cfg_.port, [this](Tick, Frame &&frame) {
         onFrame(std::move(frame));
     });
+    appRx_.init(
+        eq,
+        [this](Tick, AppRx &&rx) { receiveCb_(rx.flow, rx.bytes); },
+        "tcp-app-deliver");
     stats().addCounter("segments_tx", &segsTx_);
     stats().addCounter("segments_rx", &segsRx_);
     stats().addCounter("bytes_tx", &bytesTx_);
@@ -297,14 +301,7 @@ TcpStack::onDataSeq(std::uint32_t flow_id, std::uint64_t seq,
             if (delivered > 0) {
                 fl.received += delivered;
                 bytesRx_.inc(delivered);
-                if (receiveCb_) {
-                    eventq().scheduleDelta(
-                        units::ns(cfg_.app_latency_ns),
-                        [this, flow_id, delivered]() {
-                            receiveCb_(flow_id, delivered);
-                        },
-                        "tcp-app-deliver");
-                }
+                deliverToApp(flow_id, delivered);
             }
             // Every arrival provokes a cumulative ack; duplicates let
             // the sender notice loss sooner and survive lost acks.
@@ -340,6 +337,16 @@ TcpStack::onAckSeq(std::uint32_t flow_id, std::uint64_t cum)
 }
 
 void
+TcpStack::deliverToApp(std::uint32_t flow_id, std::uint64_t bytes)
+{
+    // The application sees the data after the app-path latency
+    // (DMA/notification).
+    if (receiveCb_)
+        appRx_.push(now() + units::ns(cfg_.app_latency_ns),
+                    AppRx{flow_id, bytes});
+}
+
+void
 TcpStack::onData(std::uint32_t flow_id, std::uint64_t len)
 {
     ENZIAN_ASSERT(flows_.count(flow_id), "data for unknown flow %u",
@@ -356,14 +363,7 @@ TcpStack::onData(std::uint32_t flow_id, std::uint64_t len)
             fl.received += len;
             sendSeg(fl.remotePort, tcpHeaderBytes,
                     TcpSeg{kindAck, flow_id, 0, len});
-            if (receiveCb_) {
-                // The application sees the data after the app-path
-                // latency (DMA/notification).
-                eventq().scheduleDelta(
-                    units::ns(cfg_.app_latency_ns),
-                    [this, flow_id, len]() { receiveCb_(flow_id, len); },
-                    "tcp-app-deliver");
-            }
+            deliverToApp(flow_id, len);
         },
         "tcp-rx");
 }

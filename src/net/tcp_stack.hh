@@ -31,6 +31,7 @@
 
 #include "base/rng.hh"
 #include "net/switch.hh"
+#include "sim/delay_line.hh"
 
 namespace enzian::net {
 
@@ -182,6 +183,16 @@ class TcpStack : public SimObject
         std::uint64_t len = 0;
     };
 
+    /** Bytes handed to the application, after the app-path latency. */
+    struct AppRx
+    {
+        std::uint32_t flow = 0;
+        std::uint64_t bytes = 0;
+    };
+
+    /** Queue @p bytes of @p flow for the receive callback, if any. */
+    void deliverToApp(std::uint32_t flow_id, std::uint64_t bytes);
+
     /** Put @p seg on the wire in a frame of @p bytes to @p dst. */
     void sendSeg(std::uint32_t dst, std::uint64_t bytes, TcpSeg seg);
     void pump(std::uint32_t flow_id);
@@ -207,6 +218,12 @@ class TcpStack : public SimObject
     Switch &sw_;
     Config cfg_;
     ReceiveCb receiveCb_;
+    /**
+     * Deliveries on their way to the application. The app-path
+     * latency is fixed, so they arrive in the order they were queued
+     * and take one heap node, for the oldest.
+     */
+    sim::DelayLine<AppRx> appRx_;
     std::unordered_map<std::uint32_t, Flow> flows_;
     std::uint32_t nextFlow_;
     /** Shared-pipeline availability (FPGA stack). */

@@ -57,8 +57,10 @@ EventQueue::freeSlot(std::uint32_t idx)
 }
 
 void
-EventQueue::push(Node n)
+EventQueue::push(Tick when, std::uint64_t seq, std::uint32_t gen,
+                 std::uint32_t idx)
 {
+    const Node n{when, seq, gen, idx};
     heap_.push_back(n);
     std::size_t i = heap_.size() - 1;
     while (i > 0) {
@@ -155,7 +157,7 @@ EventQueue::schedule(Tick when, Callback cb, const char *what)
     s.cb = std::move(cb);
     s.what = what;
     s.armed = true;
-    push(Node{when, seq_++, static_cast<std::uint32_t>(s.gen), idx});
+    push(when, seq_++, static_cast<std::uint32_t>(s.gen), idx);
     ++scheduled_;
     ++live_;
     return makeId(idx, s.gen);
@@ -293,6 +295,14 @@ EventQueue::releasePersistent(std::uint32_t idx)
 void
 EventQueue::schedulePersistent(std::uint32_t idx, Tick when)
 {
+    ++scheduled_;
+    scheduleReservedPersistent(idx, when, seq_++);
+}
+
+void
+EventQueue::scheduleReservedPersistent(std::uint32_t idx, Tick when,
+                                       std::uint64_t seq)
+{
     Slot &s = slot(idx);
     ENZIAN_ASSERT(s.persistent, "schedule on released event slot");
     ENZIAN_ASSERT(!s.armed, "reusable event '%s' armed twice",
@@ -303,8 +313,7 @@ EventQueue::schedulePersistent(std::uint32_t idx, Tick when)
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(now_));
     s.armed = true;
-    push(Node{when, seq_++, static_cast<std::uint32_t>(s.gen), idx});
-    ++scheduled_;
+    push(when, seq, static_cast<std::uint32_t>(s.gen), idx);
     ++live_;
 }
 

@@ -26,6 +26,10 @@
  *  - Hot periodic actors use the reusable Event class: the callback
  *    is installed once and the event re-arms itself with no
  *    per-occurrence allocation (see Event below).
+ *  - Fixed-latency FIFO sources use sim::DelayLine (delay_line.hh):
+ *    only the FIFO head sits in the heap, armed at a sequence number
+ *    reserved at push (reserveSeq), so order matches one event per
+ *    item.
  */
 
 #ifndef ENZIAN_SIM_EVENT_QUEUE_HH
@@ -217,6 +221,19 @@ class EventQueue
      */
     void cancel(EventId id);
 
+    /**
+     * Take the sequence number of an event that will be armed later
+     * through Event::scheduleReserved(). The event counts as scheduled
+     * now, exactly as if schedule() had been called here, so it keeps
+     * its place among same-tick events scheduled after this call.
+     */
+    std::uint64_t
+    reserveSeq()
+    {
+        ++scheduled_;
+        return seq_++;
+    }
+
     /** Execute the next pending event. @return false if none pending. */
     bool runOne();
 
@@ -312,7 +329,11 @@ class EventQueue
 
     std::uint32_t acquireSlot();
     void freeSlot(std::uint32_t idx);
-    void push(Node n);
+    /** Takes the node's fields in registers: a Node passed by value
+     *  goes through the stack, and reloading it stalls store
+     *  forwarding on every schedule. */
+    void push(Tick when, std::uint64_t seq, std::uint32_t gen,
+              std::uint32_t idx);
     void popTop();
     void siftDown(std::size_t i);
     /** Drop stale nodes off the top; top is live or heap empty after. */
@@ -323,6 +344,9 @@ class EventQueue
     std::uint32_t acquirePersistent(EventFn cb, const char *what);
     void releasePersistent(std::uint32_t idx);
     void schedulePersistent(std::uint32_t idx, Tick when);
+    /** Arm with a reserveSeq() number; counted as scheduled there. */
+    void scheduleReservedPersistent(std::uint32_t idx, Tick when,
+                                    std::uint64_t seq);
     void cancelPersistent(std::uint32_t idx);
     bool persistentScheduled(std::uint32_t idx) const
     {
@@ -409,6 +433,16 @@ class Event
     scheduleDelta(Tick delay)
     {
         eq_->schedulePersistent(slot_, eq_->now() + delay);
+    }
+
+    /**
+     * Arm at @p when with a sequence number taken earlier from
+     * EventQueue::reserveSeq(); must not already be armed.
+     */
+    void
+    scheduleReserved(Tick when, std::uint64_t seq)
+    {
+        eq_->scheduleReservedPersistent(slot_, when, seq);
     }
 
     /** Cancel then arm at @p when (idempotent re-arm). */

@@ -9,6 +9,7 @@
 #include "net/switch.hh"
 #include "net/tcp_stack.hh"
 #include "platform/params.hh"
+#include "sim/domain_scheduler.hh"
 
 namespace enzian::net {
 namespace {
@@ -86,6 +87,70 @@ TEST(Switch, DeliversToPort299Of300)
     sw.sendFrom(0, makeFrame(64, 299, std::uint64_t{0xfeed}));
     eq.run();
     EXPECT_EQ(got, 0xfeedu);
+}
+
+// With both sides bound to one timing domain, the link delivers on
+// that domain's queue, not on the queue it was built with.
+TEST(EthernetLink, SameDomainBindingDeliversOnThatDomainsQueue)
+{
+    EventQueue built_on;
+    sim::DomainScheduler sched("t.eth", units::ns(100), 1);
+    sim::TimingDomain &dom = sched.addDomain("d");
+    EthernetLink link("e", built_on, platform::params::eth100Config());
+    link.bindDomains(sched, dom, dom);
+    ASSERT_TRUE(link.domainMode());
+    std::vector<std::pair<Tick, std::uint64_t>> got;
+    link.setReceiver(1, [&](Tick when, Frame &&f) {
+        EXPECT_EQ(when, dom.queue().now());
+        got.emplace_back(when, f.body.get<std::uint64_t>());
+    });
+    const Tick first = link.send(0, makeFrame(512, 0, std::uint64_t{1}));
+    const Tick second = link.send(0, makeFrame(512, 0, std::uint64_t{2}));
+    EXPECT_EQ(dom.queue().heapSize(), 1u);
+    EXPECT_TRUE(built_on.empty());
+    sched.run();
+    const std::vector<std::pair<Tick, std::uint64_t>> want{{first, 1},
+                                                           {second, 2}};
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(dom.queue().eventsExecuted(), 2u);
+    EXPECT_EQ(built_on.eventsScheduled(), 0u);
+}
+
+// A burst through a 2-port switch holds one heap node per delivery
+// source (port 0's wire, the fabric, port 1's wire), not one per
+// frame, and frame i reaches port 1 at (i + 2) * S + 2 * L + F: it
+// leaves port 0's serializer at (i + 1) * S, flies L, waits F in the
+// fabric, then takes one more serialization S and flight L.
+TEST(Switch, BurstKeepsOneHeapNodePerSource)
+{
+    EventQueue eq;
+    Switch::Config cfg = switchConfig();
+    Switch sw("sw", eq, 2, cfg);
+    std::vector<std::pair<Tick, std::uint64_t>> got;
+    sw.setEndpoint(0, [](Tick, Frame &&) {});
+    sw.setEndpoint(1, [&](Tick when, Frame &&f) {
+        got.emplace_back(when, f.body.get<std::uint64_t>());
+    });
+    constexpr std::uint64_t kFrames = 64;
+    constexpr std::uint64_t kPayload = 1000;
+    for (std::uint64_t i = 0; i < kFrames; ++i)
+        sw.sendFrom(0, makeFrame(kPayload, 1, std::uint64_t{i}));
+    constexpr std::size_t kSources = 3;
+    std::size_t max_heap = eq.heapSize();
+    while (eq.runOne())
+        max_heap = std::max(max_heap, eq.heapSize());
+    EXPECT_LE(max_heap, kSources);
+
+    const Tick s = units::transferTicks(kPayload + frameOverheadBytes,
+                                        sw.port(0).lineRate());
+    const Tick l = units::ns(cfg.port.latency_ns);
+    const Tick f = units::ns(cfg.forward_ns);
+    ASSERT_EQ(got.size(), kFrames);
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+        EXPECT_EQ(got[i].first, (i + 2) * s + 2 * l + f) << "frame " << i;
+        EXPECT_EQ(got[i].second, i);
+    }
+    EXPECT_EQ(eq.eventsExecuted(), 3 * kFrames);
 }
 
 class TcpFixture : public ::testing::Test

@@ -680,8 +680,9 @@ TEST(SpanTracer, FlowEventsShareAnIdAndParseBack)
         phases += ph;
         EXPECT_EQ(e.find("cat")->str, "flow");
         EXPECT_EQ(e.find("id")->str, "0xabcd");
-        if (ph == "f")
+        if (ph == "f") {
             EXPECT_EQ(e.find("bp")->str, "e");
+        }
     }
     EXPECT_EQ(phases, "stf");
 }

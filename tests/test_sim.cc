@@ -14,6 +14,7 @@
 
 #include "base/rng.hh"
 #include "sim/clock_domain.hh"
+#include "sim/delay_line.hh"
 #include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
 
@@ -433,6 +434,170 @@ TEST(EventQueue, FuzzIsReproducible)
     };
     EXPECT_EQ(runOnce(7), runOnce(7));
     EXPECT_NE(runOnce(7), runOnce(8)); // and the seed matters
+}
+
+// A one-shot scheduled between two same-tick pushes runs between
+// them, exactly as with one event per pushed item.
+TEST(DelayLine, SameTickOneShotRunsBetweenPushes)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    sim::DelayLine<int> line;
+    line.init(eq, [&](Tick, int &&v) { order.push_back(v); }, "line");
+    line.push(10, 1);
+    eq.schedule(10, [&]() { order.push_back(2); });
+    line.push(10, 3);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eq.eventsScheduled(), 3u);
+    EXPECT_EQ(eq.eventsExecuted(), 3u);
+}
+
+// Seeded fuzz: pushes onto three lines mixed with one-shots, runOne
+// and runUntil execute in the same order as the naive reference
+// model given one event per pushed item.
+TEST(DelayLine, FuzzMatchesNaiveReference)
+{
+    Rng rng(0xDE1A7);
+    EventQueue eq;
+    RefKernel ref;
+    std::vector<std::uint64_t> got, want;
+    std::array<sim::DelayLine<std::uint64_t>, 3> lines;
+    std::array<Tick, 3> tails{};
+    for (auto &line : lines) {
+        line.init(eq, [&got, &eq](Tick when, std::uint64_t &&tok) {
+            EXPECT_EQ(when, eq.now());
+            got.push_back(tok);
+        });
+    }
+    std::uint64_t nextToken = 1;
+    std::uint64_t oneShotsPending = 0;
+
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t pick = rng.below(100);
+        if (pick < 45) {
+            // Small deltas so same-tick ties are common.
+            const std::size_t l = rng.below(lines.size());
+            const Tick when =
+                std::max(tails[l], eq.now() + rng.below(40));
+            const std::uint64_t tok = nextToken++;
+            lines[l].push(when, std::uint64_t{tok});
+            tails[l] = when;
+            ref.schedule(when, tok);
+        } else if (pick < 65) {
+            const Tick delta = rng.below(40);
+            const std::uint64_t tok = nextToken++;
+            eq.scheduleDelta(delta, [tok, &got, &oneShotsPending]() {
+                --oneShotsPending;
+                got.push_back(tok);
+            });
+            ++oneShotsPending;
+            ref.schedule(ref.now() + delta, tok);
+        } else if (pick < 85) {
+            const std::size_t mark = want.size();
+            const bool a = eq.runOne();
+            const bool b = ref.runOne(want);
+            ASSERT_EQ(a, b);
+            if (a) {
+                ASSERT_EQ(got.back(), want[mark]);
+            }
+        } else {
+            const Tick limit = eq.now() + rng.below(60);
+            const std::uint64_t a = eq.runUntil(limit);
+            const std::uint64_t b = ref.runUntil(limit, want);
+            ASSERT_EQ(a, b);
+            ASSERT_EQ(eq.now(), ref.now());
+        }
+        // At most one heap node per line, whatever it holds.
+        ASSERT_LE(eq.heapSize(), oneShotsPending + lines.size());
+    }
+
+    eq.run();
+    while (ref.runOne(want)) {
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(eq.eventsScheduled(), nextToken - 1);
+    EXPECT_EQ(eq.eventsExecuted(), nextToken - 1);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(DelayLine, HoldsOneHeapNodeForManyItems)
+{
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> got;
+    sim::DelayLine<int> line;
+    line.init(eq, [&](Tick when, int &&v) { got.emplace_back(when, v); });
+    constexpr int kItems = 1000;
+    for (int i = 0; i < kItems; ++i)
+        line.push(100 + static_cast<Tick>(i / 3), int{i});
+    EXPECT_LE(eq.heapSize(), 1u);
+    EXPECT_EQ(eq.pendingCount(), 1u);
+    EXPECT_EQ(eq.eventsScheduled(), static_cast<std::uint64_t>(kItems));
+    while (eq.runOne())
+        ASSERT_LE(eq.heapSize(), 1u);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
+    for (int i = 0; i < kItems; ++i) {
+        EXPECT_EQ(got[i].first, 100 + static_cast<Tick>(i / 3));
+        EXPECT_EQ(got[i].second, i);
+    }
+    EXPECT_EQ(eq.eventsExecuted(), static_cast<std::uint64_t>(kItems));
+    EXPECT_EQ(eq.slotPoolSize(), 1u);
+}
+
+// The deliver callback may push into its own line, both when that
+// line has just gone empty and when it still holds items.
+TEST(DelayLine, DeliverPushesIntoItsOwnLine)
+{
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> got;
+    sim::DelayLine<int> line;
+    line.init(eq, [&](Tick when, int &&v) {
+        got.emplace_back(when, v);
+        if (v == 1)
+            line.push(when, 2); // line is empty here
+        else if (v == 2)
+            line.push(when + 10, 3);
+        else if (v == 10)
+            line.push(when, 11); // queues behind 20
+    });
+    line.push(5, 1);
+    eq.run();
+    line.push(100, 10);
+    line.push(100, 20);
+    eq.run();
+    const std::vector<std::pair<Tick, int>> want{
+        {5, 1}, {5, 2}, {15, 3}, {100, 10}, {100, 20}, {100, 11}};
+    EXPECT_EQ(got, want);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(DelayLine, DestroyedWithItemsFreesItsSlot)
+{
+    EventQueue eq;
+    int delivered = 0;
+    auto line = std::make_unique<sim::DelayLine<int>>();
+    line->init(eq, [&](Tick, int &&) { ++delivered; });
+    line->push(10, 1);
+    line->push(20, 2);
+    line->push(20, 3);
+    EXPECT_FALSE(eq.empty());
+    line.reset();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.run(), 0u);
+    EXPECT_EQ(delivered, 0);
+    // The freed slot serves the next event.
+    eq.schedule(30, []() {});
+    eq.run();
+    EXPECT_EQ(eq.slotPoolSize(), 1u);
+}
+
+TEST(DelayLineDeathTest, PushBeforeTailPanics)
+{
+    EventQueue eq;
+    sim::DelayLine<int> line;
+    line.init(eq, [](Tick, int &&) {});
+    line.push(100, 1);
+    EXPECT_DEATH(line.push(50, 2), "before its tail");
 }
 
 TEST(ClockDomain, PeriodAndConversions)
