@@ -61,7 +61,6 @@ EnzianCluster::EnzianCluster(const Config &cfg)
         const Tick lookahead = deriveLookahead(cfg_, topo_);
         sim::DomainScheduler::Options opts;
         opts.adaptive = cfg_.adaptive_epochs;
-        opts.max_grow = cfg_.adaptive_max_grow;
         sched_ = std::make_unique<sim::DomainScheduler>(
             topo_.name + ".sched", lookahead, cfg_.threads, opts);
         // Domain 0 is the switch fabric; machines add cpu/fpga pairs.

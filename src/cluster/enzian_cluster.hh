@@ -70,8 +70,6 @@ class EnzianCluster
          * Bit-identical results at any thread count either way.
          */
         bool adaptive_epochs = false;
-        /** Epoch growth cap, in fixed steps (adaptive_epochs). */
-        std::uint32_t adaptive_max_grow = 16;
 
         Config();
     };

@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "base/logging.hh"
-#include "eci/protocol_kernel.hh"
+#include "eci/protocol_table.hh"
 #include "obs/span_tracer.hh"
 
 namespace enzian::eci {
@@ -296,7 +296,7 @@ HomeAgent::serveRead(const EciMsg &msg, bool exclusive, bool allocate)
     rsp->addr = line;
 
     // The grant, directory and local-copy decisions all come from the
-    // pure kernel (shared with the model checker); the engine applies
+    // protocol table (shared with the model checker); the engine applies
     // them before the (possibly asynchronous) data fetch so the
     // protocol state is stable by the time any later request for this
     // line is deferred behind us.

@@ -21,25 +21,90 @@ HomeReadStep
 ProtocolTable::homeRead(MoesiState local, MoesiState dir,
                         bool exclusive, bool allocate) const
 {
-    return proto::homeRead(local, dir, exclusive, allocate);
+    HomeReadStep step;
+    const bool local_had_copy = local != MoesiState::Invalid;
+
+    step.localAction = LocalAction::Keep;
+    step.localAfter = local;
+    step.flushLocalDirty = false;
+    if (local_had_copy) {
+        if (exclusive) {
+            // Requester takes ownership; the home flushes its dirty
+            // data to the source and drops the copy.
+            step.localAction = LocalAction::Invalidate;
+            step.localAfter = MoesiState::Invalid;
+            step.flushLocalDirty = cache::isDirty(local);
+        } else if (cache::isDirty(local) ||
+                   local == MoesiState::Exclusive) {
+            // Keep an owned copy; the home stays responsible for the
+            // dirty data.
+            step.localAction = LocalAction::DowngradeOwned;
+            step.localAfter = MoesiState::Owned;
+        }
+    }
+
+    if (exclusive) {
+        step.grant = Grant::Exclusive;
+    } else if (!local_had_copy && dir == MoesiState::Invalid &&
+               allocate) {
+        // No other copy anywhere: grant Exclusive so the requester can
+        // write without an upgrade (standard MOESI optimization).
+        step.grant = Grant::Exclusive;
+    } else {
+        step.grant = Grant::Shared;
+    }
+
+    step.dirAfter = dir;
+    if (allocate) {
+        step.dirAfter = step.grant == Grant::Exclusive
+                            ? MoesiState::Exclusive
+                            : MoesiState::Shared;
+    }
+    return step;
 }
 
 HomeUpgradeStep
 ProtocolTable::homeUpgrade(MoesiState local, MoesiState dir) const
 {
-    return proto::homeUpgrade(local, dir);
+    HomeUpgradeStep step;
+    // An RUPG is issued from Shared; directory Invalid means a
+    // home-initiated SINV raced ahead and already consumed the
+    // requester's copy — the full-line write payload lets the home
+    // grant Modified regardless. A writable home copy beside a remote
+    // sharer would already have been incoherent.
+    step.legal = (dir == MoesiState::Shared ||
+                  dir == MoesiState::Invalid) &&
+                 !cache::canWrite(local);
+    step.dirAfter = step.legal ? MoesiState::Modified : dir;
+    step.localAction = local != MoesiState::Invalid
+                           ? LocalAction::Invalidate
+                           : LocalAction::Keep;
+    return step;
 }
 
 HomeWritebackStep
 ProtocolTable::homeWriteback(MoesiState dir) const
 {
-    return proto::homeWriteback(dir);
+    HomeWritebackStep step;
+    if (cache::isDirty(dir) || dir == MoesiState::Exclusive) {
+        step.legal = true;
+        step.commitData = true;
+        step.dirAfter = MoesiState::Invalid;
+        return step;
+    }
+    // Directory Invalid: a home-initiated SINV raced with this
+    // writeback; the home's own (later-serialized) write supersedes
+    // the payload, which must be dropped, not committed.
+    step.legal = dir == MoesiState::Invalid;
+    step.commitData = false;
+    step.dirAfter = dir;
+    return step;
 }
 
 MoesiState
 ProtocolTable::homeEvict() const
 {
-    return proto::homeEvict();
+    return MoesiState::Invalid;
 }
 
 SnoopKind
@@ -47,31 +112,43 @@ ProtocolTable::homeLocalReadSnoop(MoesiState local,
                                   MoesiState dir) const
 {
     (void)local; // invalidate protocols decide on the directory alone
-    return proto::homeLocalReadSnoop(dir);
+    // Remote holds the freshest copy: snoop-forward it.
+    if (cache::canWrite(dir) || dir == MoesiState::Owned)
+        return SnoopKind::Forward;
+    return SnoopKind::None;
 }
 
 SnoopKind
 ProtocolTable::homeLocalWriteSnoop(MoesiState dir) const
 {
-    return proto::homeLocalWriteSnoop(dir);
+    return dir != MoesiState::Invalid ? SnoopKind::Invalidate
+                                      : SnoopKind::None;
 }
 
 MoesiState
 ProtocolTable::homeSnoopResponse(Opcode ack) const
 {
-    return proto::homeSnoopResponse(ack);
+    return ack == Opcode::SACKS ? MoesiState::Shared
+                                : MoesiState::Invalid;
 }
 
 MoesiState
 ProtocolTable::remoteFillState(Grant g) const
 {
-    return proto::remoteFillState(g);
+    return g == Grant::Exclusive ? MoesiState::Exclusive
+                                 : MoesiState::Shared;
 }
 
 RemoteWriteStep
 ProtocolTable::remoteWrite(MoesiState s) const
 {
-    return proto::remoteWrite(s);
+    RemoteWriteStep step;
+    step.hit = cache::canWrite(s);
+    step.stateAfter = step.hit ? MoesiState::Modified : s;
+    step.request = (s == MoesiState::Shared || s == MoesiState::Owned)
+                       ? Opcode::RUPG
+                       : Opcode::RLDX;
+    return step;
 }
 
 MoesiState
@@ -86,13 +163,27 @@ ProtocolTable::remoteUpgradeResult(Grant g) const
 Opcode
 ProtocolTable::remoteEvict(MoesiState s) const
 {
-    return proto::remoteEvict(s);
+    return cache::isDirty(s) ? Opcode::RWBD : Opcode::REVC;
 }
 
 RemoteSnoopStep
 ProtocolTable::remoteSnoop(MoesiState s, Opcode snoop) const
 {
-    return proto::remoteSnoop(s, snoop);
+    RemoteSnoopStep step;
+    if (snoop == Opcode::SFWD && s != MoesiState::Invalid) {
+        step.hit = true;
+        step.response = Opcode::SACKS;
+        step.stateAfter = MoesiState::Shared;
+        step.hasData = true;
+        return step;
+    }
+    // SINV, or an SFWD that missed (concurrent eviction in flight):
+    // the ack carries data iff the dropped copy was dirty.
+    step.hit = s != MoesiState::Invalid;
+    step.response = Opcode::SACKI;
+    step.stateAfter = MoesiState::Invalid;
+    step.hasData = cache::isDirty(s);
+    return step;
 }
 
 namespace {
@@ -140,7 +231,7 @@ class MesiTable final : public ProtocolTable
              bool allocate) const override
     {
         HomeReadStep step =
-            proto::homeRead(local, dir, exclusive, allocate);
+            ProtocolTable::homeRead(local, dir, exclusive, allocate);
         if (step.localAction == LocalAction::DowngradeOwned) {
             // MESI cannot keep a dirty copy shared: push the data to
             // the source first, then hold it clean-Shared.
@@ -174,7 +265,7 @@ class DragonTable final : public ProtocolTable
     RemoteWriteStep
     remoteWrite(MoesiState s) const override
     {
-        RemoteWriteStep step = proto::remoteWrite(s);
+        RemoteWriteStep step = ProtocolTable::remoteWrite(s);
         if (!step.hit && step.request == Opcode::RUPG)
             step.request = Opcode::RUPD;
         return step;
@@ -221,7 +312,7 @@ class DragonTable final : public ProtocolTable
         // Updates keep a resident home copy fresh: read it directly.
         if (local != MoesiState::Invalid)
             return SnoopKind::None;
-        return proto::homeLocalReadSnoop(dir);
+        return ProtocolTable::homeLocalReadSnoop(local, dir);
     }
 };
 

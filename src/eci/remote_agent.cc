@@ -10,7 +10,7 @@
 
 #include "base/logging.hh"
 #include "eci/home_agent.hh"
-#include "eci/protocol_kernel.hh"
+#include "eci/protocol_table.hh"
 #include "obs/span_tracer.hh"
 
 namespace enzian::eci {

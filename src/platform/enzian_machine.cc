@@ -19,11 +19,6 @@ EnzianMachine::Config::Config()
 
 EnzianMachine::EnzianMachine(const Config &cfg) : cfg_(cfg)
 {
-    if ((cfg_.split.bmc || cfg_.split.net || cfg_.split.mem) &&
-        cfg_.threads == 0 && !cfg_.shared_scheduler) {
-        fatal("machine '%s': domain splits require parallel mode",
-              cfg_.name.c_str());
-    }
     if (cfg_.threads > 0 || cfg_.shared_scheduler) {
         if (cfg_.shared_eventq) {
             fatal("machine '%s': shared_eventq and parallel domains "
@@ -47,19 +42,12 @@ EnzianMachine::EnzianMachine(const Config &cfg) : cfg_(cfg)
         } else {
             sim::DomainScheduler::Options opts;
             opts.adaptive = cfg_.adaptive_epochs;
-            opts.max_grow = cfg_.adaptive_max_grow;
             sched_ = std::make_unique<sim::DomainScheduler>(
                 cfg_.name + ".sched", lookahead, cfg_.threads, opts);
             schedPtr_ = sched_.get();
         }
         cpuDomain_ = &schedPtr_->addDomain(cfg_.name + ".cpu");
         fpgaDomain_ = &schedPtr_->addDomain(cfg_.name + ".fpga");
-        if (cfg_.split.bmc)
-            bmcDomain_ = &schedPtr_->addDomain(cfg_.name + ".bmc");
-        if (cfg_.split.net)
-            netDomain_ = &schedPtr_->addDomain(cfg_.name + ".net");
-        if (cfg_.split.mem)
-            memDomain_ = &schedPtr_->addDomain(cfg_.name + ".mem");
         eqPtr_ = &cpuDomain_->queue();
         fpgaEqPtr_ = &fpgaDomain_->queue();
     } else if (cfg_.shared_eventq) {
@@ -73,17 +61,11 @@ EnzianMachine::EnzianMachine(const Config &cfg) : cfg_(cfg)
     map_ = std::make_unique<mem::AddressMap>(cfg_.cpu_dram_bytes,
                                              cfg_.fpga_dram_bytes);
 
-    // With split.mem both DRAM systems (and their refresh machinery)
-    // live in the memory domain; the home agents reach them through
-    // cross-domain line sources installed below.
-    EventQueue &cpuMemQ = memDomain_ ? memDomain_->queue() : *eqPtr_;
-    EventQueue &fpgaMemQ =
-        memDomain_ ? memDomain_->queue() : *fpgaEqPtr_;
     cpuMem_ = std::make_unique<mem::MemoryController>(
-        cfg_.name + ".cpu.mem", cpuMemQ, cfg_.cpu_dram_bytes,
+        cfg_.name + ".cpu.mem", *eqPtr_, cfg_.cpu_dram_bytes,
         params::cpuDramChannels, params::cpuDramConfig());
     fpgaMem_ = std::make_unique<mem::MemoryController>(
-        cfg_.name + ".fpga.mem", fpgaMemQ, cfg_.fpga_dram_bytes,
+        cfg_.name + ".fpga.mem", *fpgaEqPtr_, cfg_.fpga_dram_bytes,
         params::fpgaDramChannels, params::fpgaDramConfig());
 
     cache::Cache::Config l2cfg;
@@ -129,18 +111,6 @@ EnzianMachine::EnzianMachine(const Config &cfg) : cfg_(cfg)
     cpuRemote_->setProtocol(table);
     fpgaRemote_->setProtocol(table);
 
-    if (memDomain_) {
-        const Tick hop = units::ns(cfg_.mem_hop_ns);
-        cpuDramSource_ = std::make_unique<eci::DomainDramSource>(
-            *cpuMem_, *map_, *schedPtr_, *cpuDomain_, *memDomain_,
-            hop);
-        fpgaDramSource_ = std::make_unique<eci::DomainDramSource>(
-            *fpgaMem_, *map_, *schedPtr_, *fpgaDomain_, *memDomain_,
-            hop);
-        cpuHome_->setLineSource(cpuDramSource_.get());
-        fpgaHome_->setLineSource(fpgaDramSource_.get());
-    }
-
     // The CPU's L2 caches its own node's lines (snooped by the home
     // agent) and, in cached mode, remote FPGA-homed lines too.
     cpuHome_->attachLocalCache(l2_.get());
@@ -172,9 +142,7 @@ EnzianMachine::EnzianMachine(const Config &cfg) : cfg_(cfg)
     cluster_ = std::make_unique<cpu::CoreCluster>(
         cfg_.name + ".cpu.cluster", *eqPtr_, cfg_.cores, params::cpuClockHz);
 
-    bmc_ = std::make_unique<bmc::Bmc>(
-        cfg_.name + ".bmc",
-        bmcDomain_ ? bmcDomain_->queue() : *eqPtr_);
+    bmc_ = std::make_unique<bmc::Bmc>(cfg_.name + ".bmc", *eqPtr_);
 }
 
 EnzianMachine::~EnzianMachine() = default;

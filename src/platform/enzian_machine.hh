@@ -19,7 +19,6 @@
 
 #include "bmc/bmc.hh"
 #include "cpu/core_cluster.hh"
-#include "eci/domain_dram_source.hh"
 #include "eci/home_agent.hh"
 #include "eci/remote_agent.hh"
 #include "fpga/shell.hh"
@@ -105,43 +104,12 @@ class EnzianMachine
          */
         sim::DomainScheduler *shared_scheduler = nullptr;
         /**
-         * Finer domain carving (parallel mode only; fatal without
-         * it). Each flag peels a subsystem out of the two node
-         * domains into a dedicated timing domain, shrinking the node
-         * domains' critical path while per-pair channel lookaheads
-         * keep the epoch math exact.
-         */
-        struct DomainSplit
-        {
-            /** BMC + power tree in an own ".bmc" domain. Harnesses
-             *  must not poke the BMC from other domains mid-run. */
-            bool bmc = false;
-            /** An empty ".net" domain (netDomain()) for the harness
-             *  to place NIC/switch stacks into. */
-            bool net = false;
-            /**
-             * Both DRAM systems in one ".mem" domain, reached through
-             * cross-domain line sources. Experimental: every
-             * home-memory access gains two mem_hop_ns hops, so timing
-             * differs from the reference machine, and harnesses that
-             * drive the memory controllers directly from node domains
-             * must not use it.
-             */
-            bool mem = false;
-        };
-        DomainSplit split;
-        /** One-way agent<->memory hop latency (ns) for split.mem;
-         *  also the lookahead of the DRAM channels it creates. */
-        double mem_hop_ns = 120.0;
-        /**
          * Owned-scheduler epoch policy: grow epochs to the provable
          * cross-domain delivery bound when channels are quiescent
          * (see sim::DomainScheduler::Options). Ignored with
          * shared_scheduler — the scheduler's owner decides there.
          */
         bool adaptive_epochs = false;
-        /** Epoch growth cap, in fixed steps (adaptive_epochs). */
-        std::uint32_t adaptive_max_grow = 16;
         /** Instance name prefix (must be unique in a cluster). */
         std::string name = "enzian";
 
@@ -169,12 +137,6 @@ class EnzianMachine
     sim::TimingDomain *cpuDomain() { return cpuDomain_; }
     /** The FPGA timing domain, or null in legacy mode. */
     sim::TimingDomain *fpgaDomain() { return fpgaDomain_; }
-    /** The BMC timing domain, or null unless split.bmc. */
-    sim::TimingDomain *bmcDomain() { return bmcDomain_; }
-    /** The network timing domain, or null unless split.net. */
-    sim::TimingDomain *netDomain() { return netDomain_; }
-    /** The memory timing domain, or null unless split.mem. */
-    sim::TimingDomain *memDomain() { return memDomain_; }
 
     /**
      * Run the simulation to completion: the domain scheduler in
@@ -230,9 +192,6 @@ class EnzianMachine
     sim::DomainScheduler *schedPtr_ = nullptr;
     sim::TimingDomain *cpuDomain_ = nullptr;
     sim::TimingDomain *fpgaDomain_ = nullptr;
-    sim::TimingDomain *bmcDomain_ = nullptr;
-    sim::TimingDomain *netDomain_ = nullptr;
-    sim::TimingDomain *memDomain_ = nullptr;
     std::unique_ptr<EventQueue> eq_; ///< owned unless shared
     EventQueue *eqPtr_ = nullptr;
     EventQueue *fpgaEqPtr_ = nullptr;
@@ -245,9 +204,6 @@ class EnzianMachine
     std::unique_ptr<eci::IoSpace> fpgaIoSpace_;
     std::unique_ptr<eci::HomeAgent> cpuHome_;
     std::unique_ptr<eci::HomeAgent> fpgaHome_;
-    /** split.mem line sources (installed into the home agents). */
-    std::unique_ptr<eci::DomainDramSource> cpuDramSource_;
-    std::unique_ptr<eci::DomainDramSource> fpgaDramSource_;
     std::unique_ptr<eci::RemoteAgent> cpuRemote_;
     std::unique_ptr<eci::RemoteAgent> fpgaRemote_;
     std::unique_ptr<fpga::Fabric> fpga_;

@@ -22,10 +22,10 @@
  * timestamp at least `lookahead()` ticks after the source domain's
  * current time. The lookahead is per-channel — derived from the
  * slowest-possible reaction time of the specific link the channel
- * models (ECI engine+wire floor, Ethernet cable latency, DRAM hop) —
- * and the scheduler sizes its fixed epoch step to the minimum over
- * all channels, so a message pushed during an epoch always delivers
- * after that epoch's end. When the source domain has published a
+ * models (ECI engine+wire floor, Ethernet cable latency) — and never
+ * below the scheduler's base lookahead, which is the fixed epoch
+ * step, so a message pushed during an epoch always delivers after
+ * that epoch's end. When the source domain has published a
  * no-sends-before promise (see TimingDomain::promiseNoSendsBefore),
  * pushes before the promised tick are a contract violation and fail
  * fast: the adaptive scheduler may already have stretched an epoch

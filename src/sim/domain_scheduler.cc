@@ -127,6 +127,10 @@ DomainScheduler::channel(TimingDomain &src, TimingDomain &dst,
 {
     ENZIAN_ASSERT(&src != &dst, "channel to own domain");
     const Tick req = lookahead == 0 ? lookahead_ : lookahead;
+    ENZIAN_ASSERT(req >= lookahead_,
+                  "channel lookahead %llu below the scheduler's %llu",
+                  static_cast<unsigned long long>(req),
+                  static_cast<unsigned long long>(lookahead_));
     for (auto &ch : channels_) {
         if (ch->srcDomainId() == src.id() &&
             ch->dstDomainId() == dst.id()) {
@@ -173,14 +177,9 @@ DomainScheduler::startWorkers()
     if (started_)
         return;
     started_ = true;
-    // Freeze the epoch geometry: the fixed step is the tightest
-    // channel lookahead (a channel below the base lookahead — e.g. a
-    // DRAM hop — must shrink fixed epochs to stay conservative), and
-    // each domain's outbound bound is the tightest lookahead over the
-    // channels it can send through.
-    fixedStep_ = lookahead_;
-    for (auto &ch : channels_)
-        fixedStep_ = std::min(fixedStep_, ch->lookahead_);
+    // Freeze each domain's outbound bound: the tightest lookahead over
+    // the channels it can send through (never below the base, which
+    // channel() enforces).
     for (auto &d : domains_)
         d->outLookahead_ = EventQueue::kNoEventTick;
     for (auto &ch : channels_) {
@@ -334,7 +333,7 @@ DomainScheduler::epochEndFor(Tick next, Tick limit, bool bounded)
 {
     // Closed fixed epoch [next, next + step - 1]: any cross-domain
     // message sent inside it delivers at >= send + step > epoch end.
-    Tick end = saturatingAdd(next, fixedStep_ - 1);
+    Tick end = saturatingAdd(next, lookahead_ - 1);
     if (bounded && end > limit)
         end = limit;
 
@@ -356,8 +355,8 @@ DomainScheduler::epochEndFor(Tick next, Tick limit, bool bounded)
             bound =
                 std::min(bound, saturatingAdd(first, d->outLookahead_));
         }
-        const Tick span = static_cast<Tick>(opts_.max_grow) * fixedStep_;
-        const bool spanOverflow = span / fixedStep_ != opts_.max_grow;
+        const Tick span = static_cast<Tick>(opts_.max_grow) * lookahead_;
+        const bool spanOverflow = span / lookahead_ != opts_.max_grow;
         Tick grown = spanOverflow ? EventQueue::kNoEventTick - 1
                                   : saturatingAdd(next, span - 1);
         if (bound != EventQueue::kNoEventTick)
@@ -375,7 +374,7 @@ DomainScheduler::epochEndFor(Tick next, Tick limit, bool bounded)
         adaptiveShrinks_.inc();
     lastGrew_ = grew;
     epochLen_.sample(static_cast<double>(end - next + 1) /
-                     static_cast<double>(fixedStep_));
+                     static_cast<double>(lookahead_));
     return end;
 }
 

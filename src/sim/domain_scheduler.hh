@@ -3,13 +3,14 @@
  * Conservative parallel discrete-event scheduler (PDES).
  *
  * The platform is sharded into timing domains — each a TimingDomain
- * owning its own EventQueue and the SimObjects bound to it (the CPU
- * cluster, caches and DRAM in one; the FPGA, home agent and
- * accelerators in another; optionally the NIC/switch fabric, DRAM
- * channels and BMC in domains of their own). Domains only interact
- * through cross-domain channels, whose modeled link latency gives a
- * guaranteed lower bound on cross-domain reaction time: the
- * conservative lookahead of that channel.
+ * owning its own EventQueue and the SimObjects bound to it. A machine
+ * is exactly its two sockets: the CPU cluster, caches, DRAM and BMC
+ * in one domain, the FPGA, its home agent, DRAM and accelerators in
+ * the other; a rack adds one domain for its switch fabric. Domains
+ * only interact through cross-domain channels, whose modeled link
+ * latency gives a guaranteed lower bound on cross-domain reaction
+ * time: the conservative lookahead of that channel, never below the
+ * scheduler's base lookahead.
  *
  * The scheduler runs the domains in lockstep epochs (CHESSY-style
  * coupling over MGSim-style component DES):
@@ -29,8 +30,8 @@
  *      insertion sequence), and registered barrier tasks (stats
  *      folds, tap flushes) run on the coordinator.
  *
- * Epoch length. In fixed mode the epoch is always the minimum channel
- * lookahead: end = T + L_min - 1. With Options::adaptive set, the
+ * Epoch length. In fixed mode the epoch is always the base lookahead
+ * L: end = T + L - 1. With Options::adaptive set, the
  * coordinator computes the true lower bound on the next cross-domain
  * delivery (LBTS) before each epoch: for every domain d that has
  * pending events and outbound channels,
@@ -41,7 +42,7 @@
  * promiseNoSendsBefore) and outLookahead_d the minimum lookahead over
  * d's outbound channels. No message can deliver before min_d bound_d,
  * so the epoch may stretch to that bound minus one — capped at
- * max_grow fixed steps, never shorter than the fixed epoch. The
+ * max_grow base lookaheads, never shorter than the fixed epoch. The
  * decision reads only pre-epoch queue state, promises and static
  * lookaheads, never the wall clock, so the epoch sequence — and with
  * it every simulated timestamp and statistic — stays a pure function
@@ -147,7 +148,7 @@ class DomainScheduler
     {
         /** Grow epochs to the provable cross-domain delivery bound. */
         bool adaptive = false;
-        /** Epoch growth cap, in multiples of the fixed epoch step. */
+        /** Epoch growth cap, in multiples of the base lookahead. */
         std::uint32_t max_grow = 16;
     };
 
@@ -156,9 +157,8 @@ class DomainScheduler
      * @param lookahead minimum cross-domain latency in ticks; must be
      *        > 0. Derive it from the platform (e.g.
      *        eci::EciLink::minCrossLatency), never hard-code it.
-     *        Channels may declare larger (or, rarely, smaller)
-     *        per-pair lookaheads; the fixed epoch step is the minimum
-     *        over all of them.
+     *        Channels may declare larger per-pair lookaheads, never
+     *        smaller ones; the fixed epoch step is this base.
      * @param threads total threads participating in epoch execution,
      *        including the caller of run(); 0 is treated as 1.
      */
@@ -184,9 +184,10 @@ class DomainScheduler
      *
      * @param lookahead this user's bound on how soon after a source
      *        event a message may deliver (0 = the scheduler's base
-     *        lookahead). When several users share one channel the
-     *        channel enforces the minimum of their requests, so
-     *        registration order never matters.
+     *        lookahead); a nonzero bound below the base dies. When
+     *        several users share one channel the channel enforces the
+     *        minimum of their requests, so registration order never
+     *        matters.
      */
     CrossDomainChannel &channel(TimingDomain &src, TimingDomain &dst,
                                 Tick lookahead = 0);
@@ -211,17 +212,16 @@ class DomainScheduler
     /** Simulated time every domain has reached (between runs). */
     Tick now() const { return now_; }
 
+    /** Base lookahead: the fixed epoch step and every channel's
+     *  floor. */
     Tick lookahead() const { return lookahead_; }
-    /** Fixed epoch step: min lookahead over all channels (frozen at
-     *  start; equals lookahead() until a channel asks for less). */
-    Tick fixedStep() const { return fixedStep_; }
     std::uint32_t threads() const { return threads_; }
     bool adaptive() const { return opts_.adaptive; }
     const std::string &name() const { return stats_.name(); }
 
     std::uint64_t epochs() const { return epochs_.value(); }
     std::uint64_t eventsExecuted() const { return totalEvents_; }
-    /** Epochs stretched past the fixed step by the adaptive policy. */
+    /** Epochs stretched past the base step by the adaptive policy. */
     std::uint64_t adaptiveGrows() const { return adaptiveGrows_.value(); }
     /** Fixed-length epochs immediately following a stretched one. */
     std::uint64_t
@@ -272,9 +272,7 @@ class DomainScheduler
     std::atomic<bool> stop_{false};
     Tick epochEnd_ = 0;
 
-    /** Min channel lookahead; frozen by startWorkers(). */
-    Tick fixedStep_ = 0;
-    /** Did the previous epoch grow past the fixed step? */
+    /** Did the previous epoch grow past the base step? */
     bool lastGrew_ = false;
 
     std::uint64_t totalEvents_ = 0;
@@ -284,7 +282,7 @@ class DomainScheduler
     Counter adaptiveGrows_;
     Counter adaptiveShrinks_;
     Accumulator imbalance_;
-    /** Epoch length in multiples of the fixed step. */
+    /** Epoch length in multiples of the base lookahead. */
     Histogram epochLen_{0.0, 64.0, 64};
 };
 

@@ -7,7 +7,7 @@
  *  - per-state invariants (SWMR, directory coverage, quiescent
  *    agreement — see invariants.hh);
  *  - per-transition invariants reported by the model itself (illegal
- *    kernel steps, silent dirty-data drops, unmatched responses);
+ *    protocol steps, silent dirty-data drops, unmatched responses);
  *  - deadlock freedom (a non-quiescent state must have a successor);
  *  - liveness: every reachable state can still reach a quiescent
  *    state (computed as a reverse fixpoint over the explored graph);

@@ -6,7 +6,7 @@
 #include "verif/model.hh"
 
 #include "base/logging.hh"
-#include "eci/protocol_kernel.hh"
+#include "eci/protocol_table.hh"
 
 namespace enzian::verif {
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the adaptive-epoch scheduler, no-send promises, typed
- * channel lanes, and the finer machine domain splits: epochs must
- * grow exactly to the provable delivery bound (and shrink back on new
- * traffic), contract violations must die, and every adaptive or split
- * configuration must stay bit-identical across thread counts.
+ * Tests for the adaptive-epoch scheduler, no-send promises and typed
+ * channel lanes: epochs must grow exactly to the provable delivery
+ * bound (and shrink back on new traffic), contract violations must
+ * die, and every adaptive configuration must stay bit-identical
+ * across thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -29,11 +29,10 @@ namespace {
 constexpr Tick kLookahead = 100;
 
 sim::DomainScheduler::Options
-adaptiveOpts(std::uint32_t max_grow = 16)
+adaptiveOpts()
 {
     sim::DomainScheduler::Options o;
     o.adaptive = true;
-    o.max_grow = max_grow;
     return o;
 }
 
@@ -148,6 +147,17 @@ TEST(AdaptiveEpochsDeath, PerChannelLookaheadViolationDies)
     auto &ab = sched.channel(a, b, 250);
     EXPECT_EQ(ab.lookahead(), 250u);
     EXPECT_DEATH(ab.push(kLookahead, []() {}), "lookahead");
+}
+
+TEST(AdaptiveEpochsDeath, ChannelBelowBaseLookaheadDies)
+{
+    // The base lookahead is every channel's floor (it is the fixed
+    // epoch step); a channel asking for less must die, not shrink the
+    // step.
+    sim::DomainScheduler sched("t.chanbelow", kLookahead, 1);
+    auto &a = sched.addDomain("a");
+    auto &b = sched.addDomain("b");
+    EXPECT_DEATH(sched.channel(a, b, kLookahead - 1), "below");
 }
 
 TEST(ChannelLane, PreservesPushOrderAcrossLaneAndGenericEntries)
@@ -290,52 +300,6 @@ TEST(AdaptiveMachine, AdaptiveMatchesFixedSimulation)
     EXPECT_EQ(rf.cpu, ra.cpu);
     EXPECT_EQ(rf.fpga, ra.fpga);
     EXPECT_EQ(rf.events, ra.events);
-}
-
-TEST(SplitDomains, RequireParallelMode)
-{
-    platform::EnzianMachine::Config mc;
-    mc.split.bmc = true;
-    mc.name = "tsplitbad";
-    EXPECT_DEATH(platform::EnzianMachine m(mc), "require parallel");
-}
-
-TEST(SplitDomains, BmcAndNetSplitsPreserveTheSimulation)
-{
-    // Peeling the (idle) BMC and the empty net domain out changes no
-    // timing at all: completion ticks match the unsplit machine.
-    platform::EnzianMachine::Config plain;
-    platform::EnzianMachine::Config split;
-    split.split.bmc = true;
-    split.split.net = true;
-    const auto r0 = machineWorkload(plain, 1);
-    const auto rs = machineWorkload(split, 1);
-    EXPECT_EQ(r0.cpu, rs.cpu);
-    EXPECT_EQ(r0.fpga, rs.fpga);
-}
-
-TEST(SplitDomains, MemSplitDeterministicAndFunctional)
-{
-    // The memory split adds two hops to every home-DRAM access, so
-    // ticks differ from the unsplit machine by design — but the
-    // workload must still complete correctly, identically at any
-    // thread count, with or without adaptive epochs on top.
-    platform::EnzianMachine::Config mc;
-    mc.split.mem = true;
-    mc.split.bmc = true;
-    mc.split.net = true;
-    mc.adaptive_epochs = true;
-    const auto r1 = machineWorkload(mc, 1);
-    const auto r4 = machineWorkload(mc, 4);
-    ASSERT_EQ(r1.cpu.size(), 24u);
-    ASSERT_EQ(r1.fpga.size(), 48u);
-    EXPECT_TRUE(r1.sameSimulation(r4));
-    EXPECT_EQ(r1.registryJson, r4.registryJson);
-
-    // And the hop really is in the path: later than the unsplit run.
-    platform::EnzianMachine::Config plain;
-    const auto r0 = machineWorkload(plain, 1);
-    EXPECT_GT(r1.cpu.front(), r0.cpu.front());
 }
 
 /** Rack KV workload (mirrors test_cluster_parallel) with adaptive. */

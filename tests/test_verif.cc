@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the verification subsystem: protocol kernels, the
+ * Tests for the verification subsystem: MOESI table decisions, the
  * exhaustive model checker (clean protocol + every seeded mutation
  * detected), and the runtime invariant monitor (live and replay).
  */
@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "eci/protocol_kernel.hh"
+#include "eci/protocol_table.hh"
 #include "platform/enzian_machine.hh"
 #include "platform/platform_factory.hh"
 #include "trace/eci_pcap.hh"
@@ -29,22 +29,24 @@ using platform::EnzianMachine;
 namespace proto = eci::proto;
 
 // ---------------------------------------------------------------------
-// Pure kernel unit checks: the same functions drive both the timed
+// MOESI table unit checks: the same decisions drive both the timed
 // engines and the model checker.
 // ---------------------------------------------------------------------
 
+const proto::ProtocolTable &moesi = proto::moesiProtocol();
+
 TEST(ProtocolKernel, FirstReadGrantsExclusive)
 {
-    const auto s = proto::homeRead(MoesiState::Invalid,
-                                   MoesiState::Invalid, false, true);
+    const auto s = moesi.homeRead(MoesiState::Invalid,
+                                  MoesiState::Invalid, false, true);
     EXPECT_EQ(s.grant, Grant::Exclusive);
     EXPECT_EQ(s.dirAfter, MoesiState::Exclusive);
 }
 
 TEST(ProtocolKernel, ReadBesideHomeCopyGrantsShared)
 {
-    const auto s = proto::homeRead(MoesiState::Shared,
-                                   MoesiState::Invalid, false, true);
+    const auto s = moesi.homeRead(MoesiState::Shared,
+                                  MoesiState::Invalid, false, true);
     EXPECT_EQ(s.grant, Grant::Shared);
     EXPECT_EQ(s.dirAfter, MoesiState::Shared);
     EXPECT_EQ(s.localAction, proto::LocalAction::Keep);
@@ -52,8 +54,8 @@ TEST(ProtocolKernel, ReadBesideHomeCopyGrantsShared)
 
 TEST(ProtocolKernel, ExclusiveReadFlushesDirtyHomeCopy)
 {
-    const auto s = proto::homeRead(MoesiState::Modified,
-                                   MoesiState::Invalid, true, true);
+    const auto s = moesi.homeRead(MoesiState::Modified,
+                                  MoesiState::Invalid, true, true);
     EXPECT_EQ(s.grant, Grant::Exclusive);
     EXPECT_EQ(s.localAction, proto::LocalAction::Invalidate);
     EXPECT_TRUE(s.flushLocalDirty);
@@ -62,47 +64,47 @@ TEST(ProtocolKernel, ExclusiveReadFlushesDirtyHomeCopy)
 TEST(ProtocolKernel, UpgradeLegalFromSharedAndRacedInvalid)
 {
     EXPECT_TRUE(
-        proto::homeUpgrade(MoesiState::Invalid, MoesiState::Shared)
+        moesi.homeUpgrade(MoesiState::Invalid, MoesiState::Shared)
             .legal);
     // A racing SINV may have cleared the directory before the RUPG
     // is processed; the full-line payload still allows the grant.
     EXPECT_TRUE(
-        proto::homeUpgrade(MoesiState::Invalid, MoesiState::Invalid)
+        moesi.homeUpgrade(MoesiState::Invalid, MoesiState::Invalid)
             .legal);
     EXPECT_FALSE(
-        proto::homeUpgrade(MoesiState::Invalid, MoesiState::Modified)
+        moesi.homeUpgrade(MoesiState::Invalid, MoesiState::Modified)
             .legal);
 }
 
 TEST(ProtocolKernel, StaleWritebackIsLegalButNotCommitted)
 {
-    const auto live = proto::homeWriteback(MoesiState::Modified);
+    const auto live = moesi.homeWriteback(MoesiState::Modified);
     EXPECT_TRUE(live.legal);
     EXPECT_TRUE(live.commitData);
-    const auto stale = proto::homeWriteback(MoesiState::Invalid);
+    const auto stale = moesi.homeWriteback(MoesiState::Invalid);
     EXPECT_TRUE(stale.legal);
     EXPECT_FALSE(stale.commitData);
 }
 
 TEST(ProtocolKernel, DirtyEvictionWritesBack)
 {
-    EXPECT_EQ(proto::remoteEvict(MoesiState::Modified), Opcode::RWBD);
-    EXPECT_EQ(proto::remoteEvict(MoesiState::Owned), Opcode::RWBD);
+    EXPECT_EQ(moesi.remoteEvict(MoesiState::Modified), Opcode::RWBD);
+    EXPECT_EQ(moesi.remoteEvict(MoesiState::Owned), Opcode::RWBD);
     // Clean copies (E included) leave silently with a dataless REVC.
-    EXPECT_EQ(proto::remoteEvict(MoesiState::Exclusive), Opcode::REVC);
-    EXPECT_EQ(proto::remoteEvict(MoesiState::Shared), Opcode::REVC);
+    EXPECT_EQ(moesi.remoteEvict(MoesiState::Exclusive), Opcode::REVC);
+    EXPECT_EQ(moesi.remoteEvict(MoesiState::Shared), Opcode::REVC);
 }
 
 TEST(ProtocolKernel, SnoopOfDirtyLineCarriesData)
 {
     const auto s =
-        proto::remoteSnoop(MoesiState::Modified, Opcode::SINV);
+        moesi.remoteSnoop(MoesiState::Modified, Opcode::SINV);
     EXPECT_EQ(s.response, Opcode::SACKI);
     EXPECT_EQ(s.stateAfter, MoesiState::Invalid);
     EXPECT_TRUE(s.hasData);
     // SFWD that misses (eviction in flight) answers SACKI, clean.
     const auto miss =
-        proto::remoteSnoop(MoesiState::Invalid, Opcode::SFWD);
+        moesi.remoteSnoop(MoesiState::Invalid, Opcode::SFWD);
     EXPECT_EQ(miss.response, Opcode::SACKI);
     EXPECT_FALSE(miss.hasData);
 }
