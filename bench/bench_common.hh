@@ -30,9 +30,10 @@ namespace enzian::bench {
 
 /**
  * Thread count requested via ENZIAN_THREADS (0 = unset = the classic
- * single-queue machine). Every bench binary honors it through
- * makeBenchMachine(), and BenchReport stamps it into the metrics JSON
- * so a scaling sweep's artifacts are self-describing.
+ * single-queue machine, or one thread for a rack). Every bench binary
+ * honors it, machines through makeBenchMachine(), and BenchReport
+ * stamps it into the metrics JSON so a scaling sweep's artifacts are
+ * self-describing.
  */
 inline std::uint32_t
 envThreads()
@@ -254,8 +255,7 @@ makeBenchMachine(platform::EnzianMachine::Config cfg)
 {
     cfg.cpu_dram_bytes = 256ull << 20;
     cfg.fpga_dram_bytes = 256ull << 20;
-    if (cfg.threads == 0 && !cfg.shared_scheduler &&
-        !cfg.shared_eventq)
+    if (cfg.threads == 0 && !cfg.shared_scheduler)
         cfg.threads = envThreads();
     if (const std::string proto = envProtocol();
         !proto.empty() && cfg.protocol == "moesi")

@@ -20,9 +20,9 @@
  * rack scale: placement is a latency knob the topology description
  * can turn per service.
  *
- * Runs on the legacy shared queue because the pcie-host path's DMA
- * engine bridges the CPU and FPGA queues directly (illegal under
- * parallel timing domains).
+ * Honours ENZIAN_THREADS; the rows are the same at any thread count.
+ * On pcie-host the DMA engine runs in the FPGA domain and its host
+ * memory half in the CPU domain.
  */
 
 #include "bench_common.hh"
@@ -51,6 +51,7 @@ runPlacement(const std::string &placement)
 {
     EnzianCluster::Config cfg;
     cfg.nodes = 4;
+    cfg.threads = envThreads();
     EnzianCluster rack(cfg);
 
     ReplicatedKv::Config kcfg;
@@ -68,7 +69,7 @@ runPlacement(const std::string &placement)
     auto measure = [&](auto op) {
         double total = 0.0;
         for (std::uint32_t k = 0; k < kOps; ++k) {
-            const Tick start = rack.eventq().now();
+            const Tick start = rack.scheduler()->now();
             Tick end = 0;
             op(k, [&end](Tick t) { end = t; });
             rack.run();

@@ -7,6 +7,9 @@
  * crossover the design argument predicts: pushdown wins whenever the
  * selected fraction is small enough that scan time at the memory
  * beats shipping the table.
+ *
+ * Server and client run on their own node's FPGA domain; honours
+ * ENZIAN_THREADS, with the same rows at any thread count.
  */
 
 #include "bench_common.hh"
@@ -39,14 +42,16 @@ main()
     for (const double sel : {0.0001, 0.001, 0.01, 0.1, 0.5, 1.0}) {
         EnzianCluster::Config ccfg;
         ccfg.nodes = 2;
+        ccfg.threads = bench::envThreads();
         EnzianCluster rack(ccfg);
         DisaggMemoryServer::Config scfg;
         scfg.port = rack.portOf(0);
         scfg.region_size = 64ull << 20;
-        DisaggMemoryServer server("srv", rack.eventq(), rack.network(),
-                                  rack.node(0).fpgaMem(), scfg);
-        DisaggMemoryClient client("cli", rack.eventq(), rack.network(),
-                                  rack.portOf(1), server);
+        DisaggMemoryServer server("srv", rack.node(0).fpgaEventq(),
+                                  rack.network(), rack.node(0).fpgaMem(),
+                                  scfg);
+        DisaggMemoryClient client("cli", rack.node(1).fpgaEventq(),
+                                  rack.network(), rack.portOf(1), server);
 
         std::vector<std::uint8_t> table(rows * row);
         for (std::uint64_t k = 0; k < rows; ++k)
@@ -54,7 +59,7 @@ main()
         bool loaded = false;
         client.write(0, table.data(), table.size(),
                      [&](Tick) { loaded = true; });
-        rack.eventq().run();
+        rack.run();
         if (!loaded)
             fatal("table load failed");
 
@@ -66,21 +71,21 @@ main()
 
         Tick scan_t = 0;
         std::uint64_t wire = 0;
-        const Tick t0 = rack.eventq().now();
+        const Tick t0 = client.now();
         client.scanFilter(0, row, rows, pred,
                           [&](Tick t, std::vector<std::uint8_t>,
                               std::uint64_t w) {
                               scan_t = t - t0;
                               wire = w;
                           });
-        rack.eventq().run();
+        rack.run();
 
         std::vector<std::uint8_t> full(rows * row);
         Tick read_t = 0;
-        const Tick t1 = rack.eventq().now();
+        const Tick t1 = client.now();
         client.read(0, full.data(), full.size(),
                     [&](Tick t) { read_t = t - t1; });
-        rack.eventq().run();
+        rack.run();
 
         std::printf("%13.2f%% %14.0f %14.0f %14.1f %13.1fx\n",
                     sel * 100.0, units::toMicros(scan_t),

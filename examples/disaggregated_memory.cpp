@@ -6,7 +6,8 @@
  * operator pushdown (the Farview idea: a database buffer cache where
  * selection runs *at the memory*); node 1 is the compute node. The
  * example also extends cache coherence across the rack: node 1's CPU
- * caches node 0's memory through the FPGA bridge.
+ * caches node 0's memory through the FPGA bridge. Every service runs
+ * on its node's FPGA timing domain, and rack.run() drives them all.
  *
  * Build & run:  ./build/examples/disaggregated_memory
  */
@@ -34,10 +35,11 @@ main()
     DisaggMemoryServer::Config scfg;
     scfg.port = rack.portOf(0);
     scfg.region_size = 64ull << 20;
-    DisaggMemoryServer server("farview", rack.eventq(), rack.network(),
-                              rack.node(0).fpgaMem(), scfg);
-    DisaggMemoryClient db("db", rack.eventq(), rack.network(),
-                          rack.portOf(1), server);
+    DisaggMemoryServer server("farview", rack.node(0).fpgaEventq(),
+                              rack.network(), rack.node(0).fpgaMem(),
+                              scfg);
+    DisaggMemoryClient db("db", rack.node(1).fpgaEventq(),
+                          rack.network(), rack.portOf(1), server);
 
     // A 1M-row table of {key, payload} pairs in remote memory.
     constexpr std::uint32_t row = 16;
@@ -51,7 +53,7 @@ main()
         bool loaded = false;
         db.write(0, table.data(), table.size(),
                  [&](Tick) { loaded = true; });
-        rack.eventq().run();
+        rack.run();
         std::printf("loaded %llu MiB table into node0's FPGA DRAM: %s\n",
                     static_cast<unsigned long long>(table.size() >> 20),
                     loaded ? "ok" : "FAILED");
@@ -65,7 +67,7 @@ main()
 
     Tick scan_t = 0;
     std::uint64_t scan_wire = 0, match_rows = 0;
-    const Tick t0 = rack.eventq().now();
+    const Tick t0 = db.now();
     db.scanFilter(0, row, rows, pred,
                   [&](Tick t, std::vector<std::uint8_t> m,
                       std::uint64_t wire) {
@@ -73,14 +75,14 @@ main()
                       scan_wire = wire;
                       match_rows = m.size() / row;
                   });
-    rack.eventq().run();
+    rack.run();
 
     std::vector<std::uint8_t> full(rows * row);
     Tick read_t = 0;
-    const Tick t1 = rack.eventq().now();
+    const Tick t1 = db.now();
     db.read(0, full.data(), full.size(),
             [&](Tick t) { read_t = t - t1; });
-    rack.eventq().run();
+    rack.run();
 
     std::printf("\nselect 1%% of %llu rows:\n",
                 static_cast<unsigned long long>(rows));
@@ -99,27 +101,28 @@ main()
                 "memory\n");
     EciBridgeTarget::Config tcfg;
     tcfg.port = rack.portOf(0, 1);
-    EciBridgeTarget bridge_t("bridge.t", rack.eventq(), rack.network(),
-                             rack.node(0).cpuHome(), tcfg);
+    EciBridgeTarget bridge_t("bridge.t", rack.node(0).fpgaEventq(),
+                             rack.network(), rack.node(0).fpgaRemote(),
+                             tcfg);
     eci::DramLineSource fb(rack.node(1).fpgaMem(), rack.node(1).map());
     EciBridgeSource::Config bscfg;
     bscfg.port = rack.portOf(1, 1);
     bscfg.window_base = mem::AddressMap::fpgaDramBase + (128ull << 20);
     bscfg.window_size = 16ull << 20;
-    EciBridgeSource bridge_s("bridge.s", rack.eventq(), rack.network(),
-                             fb, bridge_t, bscfg);
+    EciBridgeSource bridge_s("bridge.s", rack.node(1).fpgaEventq(),
+                             rack.network(), fb, bridge_t, bscfg);
     rack.node(1).fpgaHome().setLineSource(&bridge_s);
 
     std::vector<std::uint8_t> secret(cache::lineSize, 0x42);
     rack.node(0).l2().fill(0x8000, cache::MoesiState::Modified,
                            secret.data()); // dirty on node 0!
     std::uint8_t got[cache::lineSize] = {};
-    const Tick t2 = rack.eventq().now();
+    const Tick t2 = rack.node(1).now();
     Tick lat = 0;
     rack.node(1).cpuRemote().readLine(
         bscfg.window_base + 0x8000, got,
         [&](Tick t) { lat = t - t2; });
-    rack.eventq().run();
+    rack.run();
     std::printf("  node1 read a line DIRTY in node0's L2 in %.2f us: "
                 "0x%02x (%s), now cached %s on node1\n",
                 units::toMicros(lat), got[0],

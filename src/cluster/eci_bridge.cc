@@ -18,9 +18,10 @@ constexpr std::uint32_t bridgeHeaderBytes = 48;
 } // namespace
 
 EciBridgeTarget::EciBridgeTarget(std::string name, EventQueue &eq,
-                                 net::Switch &sw, eci::HomeAgent &home,
+                                 net::Switch &sw,
+                                 eci::RemoteAgent &agent,
                                  const Config &cfg)
-    : SimObject(std::move(name), eq), sw_(sw), home_(home), cfg_(cfg)
+    : SimObject(std::move(name), eq), sw_(sw), agent_(agent), cfg_(cfg)
 {
     sw_.setEndpoint(cfg_.port, [this](Tick, net::Frame &&frame) {
         eventq().scheduleDelta(
@@ -45,13 +46,14 @@ EciBridgeTarget::serve(WireOp &&wop)
                                     op->srcPort, std::move(*op)));
     };
     if (op->write) {
-        home_.localWrite(line, op->data.data(), [op, respond](Tick t) {
-            op->data.clear(); // the ack carries no data
-            respond(t);
-        });
+        agent_.writeLineUncached(line, op->data.data(),
+                                 [op, respond](Tick t) {
+                                     op->data.clear(); // ack: no data
+                                     respond(t);
+                                 });
     } else {
         op->data.assign(cache::lineSize, 0);
-        home_.localRead(line, op->data.data(), respond);
+        agent_.readLineUncached(line, op->data.data(), respond);
     }
 }
 

@@ -12,8 +12,11 @@
  * through its ordinary ECI path (the L2 really holds them in
  * MOESI states; A's FPGA home agent tracks it in its directory); when
  * a refill misses, A's FPGA fetches the line over 100 GbE from B's
- * bridge target, which performs a *coherent local access* on B - so a
- * line dirty in B's L2 is snooped and forwarded across the wire.
+ * bridge target on B's FPGA, which reads or writes it through B's
+ * FPGA remote agent: an uncached coherent access over B's own ECI, so
+ * a line dirty in B's L2 is snooped by B's CPU home agent and
+ * forwarded across the wire. Both ends of the bridge run in their
+ * machine's FPGA timing domain.
  *
  * Writebacks travel the same path and are non-posted (the ECI ack
  * carries the remote durability point), so read-after-write across
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "eci/home_agent.hh"
+#include "eci/remote_agent.hh"
 #include "net/switch.hh"
 
 namespace enzian::cluster {
@@ -49,11 +53,12 @@ class EciBridgeTarget : public SimObject
     };
 
     /**
-     * @param home B's home agent for the exported region (local
-     *        accesses through it keep B's caches coherent)
+     * @param eq B's FPGA queue
+     * @param agent B's FPGA remote agent; its uncached accesses to the
+     *        CPU-homed exported region keep B's caches coherent
      */
     EciBridgeTarget(std::string name, EventQueue &eq, net::Switch &sw,
-                    eci::HomeAgent &home, const Config &cfg);
+                    eci::RemoteAgent &agent, const Config &cfg);
 
     std::uint64_t linesServed() const { return served_.value(); }
 
@@ -78,7 +83,7 @@ class EciBridgeTarget : public SimObject
     void serve(WireOp &&wop);
 
     net::Switch &sw_;
-    eci::HomeAgent &home_;
+    eci::RemoteAgent &agent_;
     Config cfg_;
     Counter served_;
 };

@@ -57,61 +57,49 @@ EnzianCluster::EnzianCluster(const Config &cfg)
     topo_.validate();
     const net::Switch::Config net = resolveNetwork(cfg_, topo_);
 
-    if (cfg_.threads > 0) {
-        const Tick lookahead = deriveLookahead(cfg_, topo_);
-        sim::DomainScheduler::Options opts;
-        opts.adaptive = cfg_.adaptive_epochs;
-        sched_ = std::make_unique<sim::DomainScheduler>(
-            topo_.name + ".sched", lookahead, cfg_.threads, opts);
-        // Domain 0 is the switch fabric; machines add cpu/fpga pairs.
-        netDomain_ = &sched_->addDomain(topo_.name + ".net");
-    }
+    sim::DomainScheduler::Options opts;
+    opts.adaptive = cfg_.adaptive_epochs;
+    sched_ = std::make_unique<sim::DomainScheduler>(
+        topo_.name + ".sched", deriveLookahead(cfg_, topo_),
+        cfg_.threads, opts);
+    // Domain 0 is the switch fabric; machines add cpu/fpga pairs.
+    sim::TimingDomain &net_domain =
+        sched_->addDomain(topo_.name + ".net");
 
     for (std::uint32_t i = 0; i < topo_.nodeCount(); ++i) {
         platform::EnzianMachine::Config node_cfg = cfg_.node;
         node_cfg.name = topo_.nodes[i].name;
-        if (sched_)
-            node_cfg.shared_scheduler = sched_.get();
-        else
-            node_cfg.shared_eventq = &eq_;
+        node_cfg.shared_scheduler = sched_.get();
         nodes_.push_back(
             std::make_unique<platform::EnzianMachine>(node_cfg));
     }
 
-    switch_ = std::make_unique<net::Switch>(
-        topo_.name + ".switch",
-        sched_ ? netDomain_->queue() : eq_, topo_.totalPorts(), net);
+    switch_ = std::make_unique<net::Switch>(topo_.name + ".switch",
+                                            net_domain.queue(),
+                                            topo_.totalPorts(), net);
 
-    if (sched_) {
-        // Each port's endpoint side runs in its owning machine's FPGA
-        // domain; the fabric side runs in the net domain.
-        std::vector<sim::TimingDomain *> port_domains;
-        port_domains.reserve(topo_.totalPorts());
-        for (std::uint32_t p = 0; p < topo_.totalPorts(); ++p)
-            port_domains.push_back(
-                nodes_[topo_.nodeOfPort(p)]->fpgaDomain());
-        switch_->bindDomains(*sched_, *netDomain_, port_domains);
-    }
+    // Each port's endpoint side runs in its owning machine's FPGA
+    // domain; the fabric side runs in the net domain.
+    std::vector<sim::TimingDomain *> port_domains;
+    port_domains.reserve(topo_.totalPorts());
+    for (std::uint32_t p = 0; p < topo_.totalPorts(); ++p)
+        port_domains.push_back(
+            nodes_[topo_.nodeOfPort(p)]->fpgaDomain());
+    switch_->bindDomains(*sched_, net_domain, port_domains);
 }
 
 EnzianCluster::~EnzianCluster() = default;
 
-EventQueue &
-EnzianCluster::eventq()
-{
-    return sched_ ? netDomain_->queue() : eq_;
-}
-
 std::uint64_t
 EnzianCluster::run()
 {
-    return sched_ ? sched_->run() : eq_.run();
+    return sched_->run();
 }
 
 std::uint64_t
 EnzianCluster::runUntil(Tick limit)
 {
-    return sched_ ? sched_->runUntil(limit) : eq_.runUntil(limit);
+    return sched_->runUntil(limit);
 }
 
 } // namespace enzian::cluster

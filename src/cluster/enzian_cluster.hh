@@ -10,15 +10,12 @@
  * ports into one switch; cluster services (replicated KV,
  * disaggregated memory, the coherence bridge) run on top.
  *
- * Two execution modes:
- *  - legacy (threads == 0): every machine shares one EventQueue, as
- *    before — sequential, single timeline;
- *  - parallel (threads >= 1): one DomainScheduler runs a network
- *    timing domain (the switch fabric) plus each machine's CPU and
- *    FPGA domains; cross-machine frames ride CrossDomainChannels with
- *    the epoch lookahead derived from the smallest ECI / Ethernet
- *    latency in the rack (never hard-coded). Results are bit-identical
- *    at any thread count.
+ * The rack always runs on one DomainScheduler: a network timing
+ * domain (the switch fabric) plus each machine's CPU and FPGA
+ * domains. Cross-machine frames ride CrossDomainChannels with the
+ * epoch lookahead derived from the smallest ECI / Ethernet latency in
+ * the rack (never hard-coded). Results are bit-identical at any
+ * thread count, 1 included.
  *
  * Switch port convention: node i owns ports [topology().firstPort(i),
  * firstPort(i) + ports) — Enzian's FPGA exposes 4 x 100 GbE.
@@ -46,7 +43,7 @@ class EnzianCluster
         /**
          * The rack description. When it has no nodes, a uniform
          * topology of `nodes` x `ports_per_node` is used instead
-         * (the legacy shorthand below).
+         * (the shorthand below).
          */
         ClusterTopology topology; ///< default: no nodes (see above)
         std::uint32_t nodes = 2;
@@ -58,11 +55,10 @@ class EnzianCluster
          *  derived from the topology on top of this). */
         net::Switch::Config network;
         /**
-         * Parallel simulation: >= 1 runs the rack on a
-         * DomainScheduler with this many threads (1 = same domain
-         * semantics, sequential). 0 (default) = legacy shared queue.
+         * Threads the rack scheduler runs its domains on (0 means 1;
+         * the simulation is the same at any count).
          */
-        std::uint32_t threads = 0;
+        std::uint32_t threads = 1;
         /**
          * Adaptive epochs for the rack scheduler: grow past the fixed
          * step to the provable cross-domain delivery bound when the
@@ -80,17 +76,9 @@ class EnzianCluster
     EnzianCluster(const EnzianCluster &) = delete;
     EnzianCluster &operator=(const EnzianCluster &) = delete;
 
-    /**
-     * The cluster-wide queue: the legacy shared queue, or the network
-     * domain's queue in parallel mode (usable for scheduling before
-     * the run starts).
-     */
-    EventQueue &eventq();
     net::Switch &network() { return *switch_; }
 
-    /** True when the rack runs as parallel timing domains. */
-    bool parallel() const { return sched_ != nullptr; }
-    /** The rack's scheduler, or null in legacy mode. */
+    /** The rack's scheduler; it runs every node's domains. */
     sim::DomainScheduler *scheduler() { return sched_.get(); }
 
     /** Run the whole rack to completion. @return events executed. */
@@ -132,10 +120,8 @@ class EnzianCluster
 
     Config cfg_;
     ClusterTopology topo_;
-    EventQueue eq_; ///< legacy shared queue (idle in parallel mode)
     /** Declared before every component so domain queues die last. */
     std::unique_ptr<sim::DomainScheduler> sched_;
-    sim::TimingDomain *netDomain_ = nullptr;
     std::vector<std::unique_ptr<platform::EnzianMachine>> nodes_;
     std::unique_ptr<net::Switch> switch_;
 };

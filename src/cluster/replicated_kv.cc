@@ -36,10 +36,6 @@ ReplicatedKv::ReplicatedKv(std::string name, EnzianCluster &cluster,
          cfg_.region_base % cache::lineSize != 0))
         fatal("kv '%s': eci-host placement needs line-aligned slots",
               stats_.name().c_str());
-    if (cfg_.placement == "pcie-host" && cluster_.parallel())
-        fatal("kv '%s': pcie-host placement requires legacy mode (the "
-              "DMA engine bridges the CPU and FPGA queues directly)",
-              stats_.name().c_str());
 
     const std::uint64_t region =
         cfg_.region_base + cfg_.slots * cfg_.value_bytes;
@@ -117,6 +113,10 @@ ReplicatedKv::makeStore(std::uint32_t node)
         st->pcieDma = std::make_unique<pcie::DmaEngine>(
             base + ".dma", m.fpgaEventq(), *st->pcieLink, m.cpuMem(),
             m.fpgaMem(), pcie::DmaEngine::Config{});
+        // Host memory is the CPU socket's: the DMA engine's host half
+        // runs in the CPU domain.
+        st->pcieDma->bindDomains(*cluster_.scheduler(), *m.fpgaDomain(),
+                                 *m.cpuDomain());
         st->path = std::make_unique<net::PcieHostPath>(
             *st->pcieDma, 0, pcieStagingBase);
     } else {

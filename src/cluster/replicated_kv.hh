@@ -11,9 +11,9 @@
  *
  *  - "dram":     the FPGA's own DDR4 (DirectDramPath);
  *  - "eci-host": CPU host memory over coherent ECI (EciHostPath);
- *  - "pcie-host": CPU host memory via PCIe DMA (PcieHostPath,
- *    legacy mode only — the DMA engine bridges the CPU and FPGA
- *    queues directly, which parallel domains forbid).
+ *  - "pcie-host": CPU host memory via PCIe DMA (PcieHostPath; the
+ *    DMA engine runs in the FPGA domain and its host-memory half in
+ *    the CPU domain, across the PCIe link latency).
  *
  * Writes fan out from the client's initiator to the primary and every
  * replica with per-replica ack tracking: the put completes when the

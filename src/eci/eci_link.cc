@@ -223,61 +223,23 @@ EciLink::recordTx(std::size_t dir, Tick tnow, const EciMsg &msg,
 Tick
 EciLink::send(const EciMsg &msg)
 {
-    if (domainMode())
-        return sendDomain(msg);
+    // Domain mode: time comes from the sending direction's domain
+    // clock, and that direction's thread is the single writer of its
+    // serializer, stats stage and tap stage.
     const auto dir = static_cast<std::size_t>(msg.src);
-    if (fault_) {
-        const FaultAction act = fault_(now(), msg);
-        if (act != FaultAction::Deliver)
-            return sendFaulted(now(), msg, act);
-    }
-    for (const Tap &tap : taps_)
-        tap(now(), msg);
-
-    const TxTiming t = txTiming(now(), msg);
-    recordTx(dir, now(), msg, t);
-    ENZIAN_SPAN(name(), toString(msg.op), t.start, t.delivery);
-
-    Handler &h = handlers_[static_cast<std::size_t>(msg.dst)];
-    ENZIAN_ASSERT(h, "no receiver registered for node %s on %s",
-                  mem::toString(msg.dst), name().c_str());
-
-    // The serializer is FIFO per direction, so deliveries land in
-    // order; append to the direction's queue and let its one reusable
-    // event drain it. Fall back to a one-shot for the (src == dst)
-    // corner where the receiver-side latency breaks monotonicity.
-    DeliveryQueue &q = deliverQ_[dir];
-    if (!q.fifo.empty() && t.delivery < q.fifo.back().first) {
-        EciMsg copy = msg;
-        eventq().schedule(
-            t.delivery, [this, copy]() {
-                handlers_[static_cast<std::size_t>(copy.dst)](copy);
-            },
-            "eci-deliver-ooo");
-        return t.delivery;
-    }
-    q.fifo.emplace_back(t.delivery, msg);
-    if (!q.ev.scheduled())
-        q.ev.schedule(q.fifo.front().first);
-    return t.delivery;
-}
-
-Tick
-EciLink::sendDomain(const EciMsg &msg)
-{
-    // Parallel path: time comes from the sending direction's domain
-    // clock, statistics go to that direction's stage, and delivery
-    // crosses through the scheduler's mailbox so the destination
-    // domain schedules it at the epoch barrier.
-    const auto dir = static_cast<std::size_t>(msg.src);
-    const Tick tnow = dirBind_.now(dir);
+    const Tick tnow = dirBind_.bound() ? dirBind_.now(dir) : now();
     if (fault_) {
         const FaultAction act = fault_(tnow, msg);
         if (act != FaultAction::Deliver)
             return sendFaulted(tnow, msg, act);
     }
-    if (!taps_.empty())
-        tapStage_[dir].emplace_back(tnow, msg);
+    if (domainMode()) {
+        if (!taps_.empty())
+            tapStage_[dir].emplace_back(tnow, msg);
+    } else {
+        for (const Tap &tap : taps_)
+            tap(tnow, msg);
+    }
 
     const TxTiming t = txTiming(tnow, msg);
     recordTx(dir, tnow, msg, t);
@@ -288,9 +250,13 @@ EciLink::sendDomain(const EciMsg &msg)
                   mem::toString(msg.dst), name().c_str());
 
     if (msg.dst == msg.src) {
-        // Loopback stays inside the sending domain.
+        // Loopback stays on the sending clock, as a one-shot: its
+        // receiver-side latency can break the direction's delivery
+        // order.
         const EciMsg copy = msg;
-        dirBind_.clock(dir).schedule(
+        EventQueue &clock =
+            dirBind_.bound() ? dirBind_.clock(dir) : eventq();
+        clock.schedule(
             t.delivery,
             [this, copy]() {
                 handlers_[static_cast<std::size_t>(copy.dst)](copy);
@@ -298,10 +264,20 @@ EciLink::sendDomain(const EciMsg &msg)
             "eci-deliver-local");
         return t.delivery;
     }
-    // Cross-domain: the message rides the direction's slot arena —
-    // no per-message allocation, and the barrier drain stays
-    // cache-linear over the channel's entry stream.
-    (*lanes_)[dir].push(t.delivery, msg);
+    if (lanes_) {
+        // Cross-domain: the message rides the direction's slot arena
+        // with no per-message allocation, and the barrier drain stays
+        // cache-linear over the channel's entry stream.
+        (*lanes_)[dir].push(t.delivery, msg);
+        return t.delivery;
+    }
+    // One queue: the serializer is FIFO per direction, so deliveries
+    // land in order; append to the direction's queue and let its one
+    // reusable event drain it.
+    DeliveryQueue &q = deliverQ_[dir];
+    q.fifo.emplace_back(t.delivery, msg);
+    if (!q.ev.scheduled())
+        q.ev.schedule(q.fifo.front().first);
     return t.delivery;
 }
 
@@ -450,7 +426,6 @@ EciFabric::bindDomains(sim::DomainScheduler &sched,
                        sim::TimingDomain &cpu_domain,
                        sim::TimingDomain &fpga_domain)
 {
-    domainMode_ = true;
     for (auto &l : links_)
         l->bindDomains(sched, cpu_domain, fpga_domain);
 }
@@ -465,11 +440,9 @@ EciFabric::pickLink(const EciMsg &msg)
       case BalancePolicy::SingleLink:
         return 0;
       case BalancePolicy::RoundRobin:
-        // Domain mode: one counter per direction so the two sending
-        // domains never share mutable state.
-        if (domainMode_)
-            return rrDir_[static_cast<std::size_t>(msg.src)]++ % n;
-        return rr_++ % n;
+        // One counter per direction, so in domain mode the two
+        // sending domains never share mutable state.
+        return rrDir_[static_cast<std::size_t>(msg.src)]++ % n;
       case BalancePolicy::AddressHash: {
         // Mix the line address so striding patterns spread evenly.
         std::uint64_t x = msg.addr / cache::lineSize;

@@ -227,7 +227,6 @@ class EciLink : public SimObject
     void recomputeBandwidth();
     Tick procLatency(mem::NodeId node) const;
     void deliverNext(std::size_t dir);
-    Tick sendDomain(const EciMsg &msg);
     Tick sendFaulted(Tick tnow, const EciMsg &msg, FaultAction act);
     void beginRetrain(Tick duration);
     TxTiming txTiming(Tick tnow, const EciMsg &msg);
@@ -293,7 +292,7 @@ class EciLink : public SimObject
 /** Policy for spreading traffic over the two links. */
 enum class BalancePolicy : std::uint8_t {
     SingleLink,  ///< all traffic on link 0 (the Fig 6 restriction)
-    RoundRobin,  ///< alternate links per message
+    RoundRobin,  ///< alternate links per message and direction
     AddressHash, ///< hash the line address (keeps per-line ordering)
     LeastLoaded, ///< pick the link whose serializer frees first
 };
@@ -323,9 +322,7 @@ class EciFabric : public SimObject
 
     /**
      * Switch every link into parallel domain mode (see
-     * EciLink::bindDomains). Round-robin balancing becomes
-     * per-direction so each domain picks links without sharing a
-     * counter.
+     * EciLink::bindDomains).
      */
     void bindDomains(sim::DomainScheduler &sched,
                      sim::TimingDomain &cpu_domain,
@@ -351,9 +348,7 @@ class EciFabric : public SimObject
 
     std::vector<std::unique_ptr<EciLink>> links_;
     BalancePolicy policy_;
-    bool domainMode_ = false;
-    std::uint32_t rr_ = 0;
-    /** Per-direction round-robin counters for domain mode. */
+    /** Round-robin counters, one per sending direction. */
     std::array<std::uint32_t, 2> rrDir_{0, 0};
 };
 

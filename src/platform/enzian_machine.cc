@@ -20,11 +20,6 @@ EnzianMachine::Config::Config()
 EnzianMachine::EnzianMachine(const Config &cfg) : cfg_(cfg)
 {
     if (cfg_.threads > 0 || cfg_.shared_scheduler) {
-        if (cfg_.shared_eventq) {
-            fatal("machine '%s': shared_eventq and parallel domains "
-                  "are mutually exclusive",
-                  cfg_.name.c_str());
-        }
         // The epoch length is the platform's own latency floor:
         // nothing can cross the ECI faster than engine + wire +
         // engine, so an epoch that long can never miss a message.
@@ -50,9 +45,6 @@ EnzianMachine::EnzianMachine(const Config &cfg) : cfg_(cfg)
         fpgaDomain_ = &schedPtr_->addDomain(cfg_.name + ".fpga");
         eqPtr_ = &cpuDomain_->queue();
         fpgaEqPtr_ = &fpgaDomain_->queue();
-    } else if (cfg_.shared_eventq) {
-        eqPtr_ = cfg_.shared_eventq;
-        fpgaEqPtr_ = eqPtr_;
     } else {
         eq_ = std::make_unique<EventQueue>();
         eqPtr_ = eq_.get();

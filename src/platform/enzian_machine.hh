@@ -77,13 +77,6 @@ class EnzianMachine
         /** Initial bitstream loaded into the fabric. */
         std::string bitstream = "eci-bench";
         /**
-         * Optional externally owned event queue; machines in a
-         * cluster share one so their timelines interleave. When
-         * null the machine owns its queue. Mutually exclusive with
-         * parallel domain mode (threads / shared_scheduler).
-         */
-        EventQueue *shared_eventq = nullptr;
-        /**
          * Parallel simulation: > 0 shards the machine into a CPU
          * timing domain and an FPGA timing domain run by a
          * conservative-PDES scheduler on this many threads. The
@@ -97,10 +90,10 @@ class EnzianMachine
         /**
          * Optional externally owned scheduler; several machines may
          * join one scheduler so all their domains run under a single
-         * epoch loop (the scaling bench does this). Must outlive the
-         * machine, and its lookahead must not exceed this machine's
-         * link latency floor. Implies domain mode regardless of
-         * `threads`.
+         * epoch loop (EnzianCluster and the scaling bench do this).
+         * Must outlive the machine, and its lookahead must not
+         * exceed this machine's link latency floor. Implies domain
+         * mode regardless of `threads`.
          */
         sim::DomainScheduler *shared_scheduler = nullptr;
         /**
@@ -192,7 +185,7 @@ class EnzianMachine
     sim::DomainScheduler *schedPtr_ = nullptr;
     sim::TimingDomain *cpuDomain_ = nullptr;
     sim::TimingDomain *fpgaDomain_ = nullptr;
-    std::unique_ptr<EventQueue> eq_; ///< owned unless shared
+    std::unique_ptr<EventQueue> eq_; ///< single-queue mode only
     EventQueue *eqPtr_ = nullptr;
     EventQueue *fpgaEqPtr_ = nullptr;
     std::unique_ptr<mem::AddressMap> map_;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for multi-board clustering: disaggregated memory with
- * operator pushdown, and the cross-machine coherence bridge.
+ * Tests for multi-board clustering: the rack's timing domains,
+ * disaggregated memory with operator pushdown, and the cross-machine
+ * coherence bridge. Every service runs on its node's FPGA domain.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +12,12 @@
 #include "cluster/disagg_memory.hh"
 #include "cluster/eci_bridge.hh"
 #include "cluster/enzian_cluster.hh"
+#include "sim/domain_scheduler.hh"
 
 namespace enzian::cluster {
 namespace {
 
-TEST(Cluster, ComposesNodesOnSharedQueue)
+TEST(Cluster, ComposesNodesOnOneScheduler)
 {
     EnzianCluster::Config cfg;
     cfg.nodes = 3;
@@ -23,9 +25,20 @@ TEST(Cluster, ComposesNodesOnSharedQueue)
     EXPECT_EQ(c.nodeCount(), 3u);
     EXPECT_EQ(c.network().portCount(), 12u);
     EXPECT_EQ(c.portOf(2, 1), 9u);
-    // All machines tick on the same queue.
-    EXPECT_EQ(&c.node(0).eventq(), &c.eventq());
-    EXPECT_EQ(&c.node(2).eventq(), &c.eventq());
+    // One scheduler runs the switch's net domain, then each node's
+    // CPU and FPGA domains.
+    sim::DomainScheduler &sched = *c.scheduler();
+    ASSERT_EQ(sched.domainCount(), 1u + 2u * 3u);
+    EXPECT_EQ(sched.domain(0).name(), c.topology().name + ".net");
+    EXPECT_EQ(&c.network().eventq(), &sched.domain(0).queue());
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        auto &m = c.node(i);
+        EXPECT_EQ(m.scheduler(), &sched);
+        EXPECT_EQ(m.cpuDomain(), &sched.domain(1 + 2 * i));
+        EXPECT_EQ(m.fpgaDomain(), &sched.domain(2 + 2 * i));
+        EXPECT_EQ(&m.eventq(), &m.cpuDomain()->queue());
+        EXPECT_EQ(&m.fpgaEventq(), &m.fpgaDomain()->queue());
+    }
 }
 
 TEST(Cluster, NodesOperateIndependently)
@@ -40,7 +53,7 @@ TEST(Cluster, NodesOperateIndependently)
                                              [&](Tick) { ++done; });
     c.node(1).fpgaRemote().writeLineUncached(0x1000, d1.data(),
                                              [&](Tick) { ++done; });
-    c.eventq().run();
+    c.run();
     EXPECT_EQ(done, 2);
     std::uint8_t b0, b1;
     c.node(0).cpuMem().store().read(0x1000, &b0, 1);
@@ -61,10 +74,10 @@ class DisaggTest : public ::testing::Test
         scfg.port = cluster->portOf(0);
         scfg.region_size = 64ull << 20;
         server = std::make_unique<DisaggMemoryServer>(
-            "server", cluster->eventq(), cluster->network(),
+            "server", cluster->node(0).fpgaEventq(), cluster->network(),
             cluster->node(0).fpgaMem(), scfg);
         client = std::make_unique<DisaggMemoryClient>(
-            "client", cluster->eventq(), cluster->network(),
+            "client", cluster->node(1).fpgaEventq(), cluster->network(),
             cluster->portOf(1), *server);
     }
 
@@ -81,14 +94,14 @@ TEST_F(DisaggTest, RemoteReadWriteRoundTrip)
     bool wrote = false;
     client->write(0x4000, data.data(), data.size(),
                   [&](Tick) { wrote = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(wrote);
 
     std::vector<std::uint8_t> back(data.size());
     bool read_done = false;
     client->read(0x4000, back.data(), back.size(),
                  [&](Tick) { read_done = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(read_done);
     EXPECT_EQ(back, data);
 }
@@ -106,7 +119,7 @@ TEST_F(DisaggTest, PushdownFilterReturnsOnlyMatches)
     bool loaded = false;
     client->write(0, table.data(), table.size(),
                   [&](Tick) { loaded = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(loaded);
 
     Predicate pred;
@@ -121,7 +134,7 @@ TEST_F(DisaggTest, PushdownFilterReturnsOnlyMatches)
                            matches = std::move(m);
                            wire_bytes = wire;
                        });
-    cluster->eventq().run();
+    cluster->run();
 
     ASSERT_EQ(matches.size(), 100u * row);
     std::uint64_t first_key = 0;
@@ -169,8 +182,8 @@ class BridgeTest : public ::testing::Test
         tcfg.port = cluster->portOf(1);
         tcfg.export_base = 0;
         target = std::make_unique<EciBridgeTarget>(
-            "bridge.target", cluster->eventq(), cluster->network(),
-            b.cpuHome(), tcfg);
+            "bridge.target", b.fpgaEventq(), cluster->network(),
+            b.fpgaRemote(), tcfg);
 
         // A maps it at a window of its FPGA-homed space.
         fallback = std::make_unique<eci::DramLineSource>(a.fpgaMem(),
@@ -180,7 +193,7 @@ class BridgeTest : public ::testing::Test
         scfg.window_base = windowBase();
         scfg.window_size = 16ull << 20;
         source = std::make_unique<EciBridgeSource>(
-            "bridge.source", cluster->eventq(), cluster->network(),
+            "bridge.source", a.fpgaEventq(), cluster->network(),
             *fallback, *target, scfg);
         a.fpgaHome().setLineSource(source.get());
     }
@@ -208,12 +221,12 @@ TEST_F(BridgeTest, CpuACachesMemoryOfMachineB)
     std::uint8_t out[cache::lineSize] = {};
     bool done = false;
     Tick latency = 0;
-    const Tick start = cluster->eventq().now();
+    const Tick start = a.now();
     a.cpuRemote().readLine(windowBase() + 0x2000, out, [&](Tick t) {
         done = true;
         latency = t - start;
     });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(done);
     EXPECT_EQ(std::memcmp(out, data.data(), cache::lineSize), 0);
     // The line is genuinely cached on A.
@@ -227,7 +240,7 @@ TEST_F(BridgeTest, CpuACachesMemoryOfMachineB)
     bool done2 = false;
     a.cpuRemote().readLine(windowBase() + 0x2000, out,
                            [&](Tick) { done2 = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(done2);
     EXPECT_EQ(source->linesBridged(), 1u);
 }
@@ -244,7 +257,7 @@ TEST_F(BridgeTest, BridgedReadSnoopsDirtyLineInRemoteL2)
     bool done = false;
     a.cpuRemote().readLine(windowBase() + 0x3000, out,
                            [&](Tick) { done = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(done);
     // Coherence composes across the bridge: A sees B's dirty data.
     EXPECT_EQ(std::memcmp(out, dirty.data(), cache::lineSize), 0);
@@ -258,11 +271,11 @@ TEST_F(BridgeTest, WritebackLandsOnMachineB)
     bool wrote = false;
     a.cpuRemote().writeLine(windowBase() + 0x4000, data.data(),
                             [&](Tick) { wrote = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(wrote);
     bool flushed = false;
     a.cpuRemote().flushAll([&](Tick) { flushed = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(flushed);
     std::uint8_t back[cache::lineSize];
     b.cpuMem().store().read(0x4000, back, cache::lineSize);
@@ -277,7 +290,7 @@ TEST_F(BridgeTest, OutsideWindowFallsThroughToLocalDram)
     a.cpuRemote().writeLineUncached(mem::AddressMap::fpgaDramBase,
                                     data.data(),
                                     [&](Tick) { done = true; });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(done);
     std::uint8_t back[cache::lineSize];
     a.fpgaMem().store().read(0, back, cache::lineSize);
@@ -300,7 +313,7 @@ TEST_F(BridgeTest, ReadAfterWriteAcrossBridgeIsSafe)
                 windowBase() + 0x5000, out,
                 [&](Tick) { read_done = true; });
         });
-    cluster->eventq().run();
+    cluster->run();
     ASSERT_TRUE(read_done);
     EXPECT_EQ(std::memcmp(out, data.data(), cache::lineSize), 0);
 }

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <sstream>
 
@@ -135,19 +136,22 @@ TEST(ClusterParallel, RegistryIdenticalAtUnevenThreadCounts)
 
 TEST(ClusterParallel, DomainModeMatchesLegacyTicks)
 {
-    // threads=1 runs the same rack as timing domains; the simulation
-    // (completion ticks, read values) must be identical to the legacy
-    // shared-queue cluster.
-    const auto legacy = rackKvWorkload(0);
+    // The rack on timing domains simulates exactly what the retired
+    // shared-queue rack did: these are that rack's completion ticks
+    // (four puts, then one get, per node).
+    const std::vector<Tick> legacy = {
+        3448253, 3521853, 3595453, 3669053, 1000058333,
+        3466653, 3540253, 3613853, 3687453, 1000058333,
+        3485053, 3558653, 3632253, 3705853, 1000058333,
+        3503453, 3577053, 3650653, 3724253, 1003411453,
+    };
     const auto domain = rackKvWorkload(1);
-    EXPECT_EQ(legacy.ticks, domain.ticks);
-    EXPECT_EQ(legacy.values, domain.values);
+    EXPECT_EQ(domain.ticks, legacy);
+    for (std::uint32_t n = 0; n < kNodes; ++n)
+        EXPECT_EQ(domain.values[n], patternFor(((n + 1) % kNodes) * 8));
 }
 
-/**
- * Registry bytes without the domain scheduler's own statistics,
- * which exist only outside legacy mode.
- */
+/** Registry bytes without the domain scheduler's own statistics. */
 std::string
 modelRegistryJson()
 {
@@ -157,6 +161,17 @@ modelRegistryJson()
     });
     std::ostringstream os;
     obs::Registry::exportJson(snap, os);
+    return os.str();
+}
+
+/** A checked-in golden file's bytes. */
+std::string
+goldenFile(const std::string &name)
+{
+    std::ifstream f(std::string(ENZIAN_GOLDEN_DIR) + "/" + name);
+    EXPECT_TRUE(f.good()) << name;
+    std::ostringstream os;
+    os << f.rdbuf();
     return os.str();
 }
 
@@ -213,16 +228,15 @@ TEST(ClusterParallel, RdmaAbandonmentIsDeterministic)
     // Whether the target finds an abandoned attempt is decided by
     // simulated time (the attempt's expiry tick), not by which domain
     // thread ran first.
-    const auto legacy = rdmaAbandonWorkload(0);
     const auto t1 = rdmaAbandonWorkload(1);
     const auto t4 = rdmaAbandonWorkload(4);
-    EXPECT_GE(legacy.stale, 1u);
-    EXPECT_GE(legacy.retries, 1u);
-    EXPECT_EQ(legacy.got, patternFor(3));
+    EXPECT_GE(t1.stale, 1u);
+    EXPECT_GE(t1.retries, 1u);
     EXPECT_EQ(t1.got, patternFor(3));
     EXPECT_EQ(t4.got, patternFor(3));
-    EXPECT_FALSE(legacy.modelJson.empty());
-    EXPECT_EQ(legacy.modelJson, t1.modelJson);
+    // The model statistics are those the retired shared-queue rack
+    // exported for the same run.
+    EXPECT_EQ(t1.modelJson, goldenFile("registry_rdma_abandon.json"));
     EXPECT_EQ(t1.registryJson, t4.registryJson);
 }
 
@@ -495,45 +509,116 @@ TEST(ReplicatedKv, ReadYourWritesUnderRdmaRequestDrops)
     EXPECT_GT(kv.initiator(2).retriesSent(), 0u);
 }
 
+/** Completion ticks, read values and registry of a pcie-host store. */
+RackRun
+pcieKvWorkload(std::uint32_t threads)
+{
+    constexpr std::uint32_t kPcieNodes = 3;
+    EnzianCluster::Config cfg;
+    cfg.nodes = kPcieNodes;
+    cfg.threads = threads;
+    EnzianCluster rack(cfg);
+
+    ReplicatedKv::Config kcfg;
+    kcfg.primary = 0;
+    kcfg.replicas = {1};
+    kcfg.placement = "pcie-host";
+    kcfg.value_bytes = kValueBytes;
+    ReplicatedKv kv("pciekv", rack, kcfg);
+
+    // Every node puts its keys at once, so each store's DMA engine
+    // queues descriptors back to back.
+    std::array<std::vector<Tick>, kPcieNodes> trace;
+    for (std::uint32_t n = 0; n < kPcieNodes; ++n) {
+        for (std::uint64_t k = 0; k < 4; ++k) {
+            const auto val = patternFor(n * 8 + k);
+            kv.put(n, n * 8 + k, val.data(),
+                   [&trace, n](Tick t) { trace[n].push_back(t); });
+        }
+    }
+    rack.run();
+
+    // Nodes 0 and 1 read through their own DMA engine, node 2 over
+    // RDMA from the nearest store.
+    RackRun out;
+    out.values.assign(kPcieNodes, std::vector<std::uint8_t>(kValueBytes));
+    for (std::uint32_t n = 0; n < kPcieNodes; ++n) {
+        rack.node(n).fpgaEventq().schedule(units::us(1000.0), [&, n]() {
+            kv.get(n, ((n + 1) % kPcieNodes) * 8, out.values[n].data(),
+                   [&trace, n](Tick t) { trace[n].push_back(t); });
+        });
+    }
+    rack.run();
+
+    for (const auto &t : trace)
+        out.ticks.insert(out.ticks.end(), t.begin(), t.end());
+    out.registryJson = registryJson();
+    return out;
+}
+
+TEST(ReplicatedKv, PcieHostPlacementIsThreadCountInvariant)
+{
+    // The DMA engine's host half runs in the CPU domain, so the
+    // crossing must give the same simulation at any thread count.
+    const auto t1 = pcieKvWorkload(1);
+    const auto t4 = pcieKvWorkload(4);
+    ASSERT_EQ(t1.ticks.size(), 3u * 5u);
+    EXPECT_EQ(t1.ticks, t4.ticks);
+    for (std::uint32_t n = 0; n < 3; ++n)
+        EXPECT_EQ(t1.values[n], patternFor(((n + 1) % 3) * 8)) << n;
+    EXPECT_EQ(t1.values, t4.values);
+    EXPECT_EQ(t1.registryJson, t4.registryJson);
+}
+
 TEST(ClusterRegression, TwoDisaggServersInOneProcess)
 {
     // Two servers in one process, written at the same offsets, keep
     // their data apart.
-    EnzianCluster::Config cfg;
-    cfg.nodes = 4;
-    EnzianCluster rack(cfg);
+    for (const std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        EnzianCluster::Config cfg;
+        cfg.nodes = 4;
+        cfg.threads = threads;
+        EnzianCluster rack(cfg);
 
-    DisaggMemoryServer::Config sa;
-    sa.port = rack.portOf(0);
-    sa.region_size = 1ull << 20;
-    DisaggMemoryServer srvA("srvA", rack.eventq(), rack.network(),
-                            rack.node(0).fpgaMem(), sa);
-    DisaggMemoryServer::Config sb;
-    sb.port = rack.portOf(1);
-    sb.region_size = 1ull << 20;
-    DisaggMemoryServer srvB("srvB", rack.eventq(), rack.network(),
-                            rack.node(1).fpgaMem(), sb);
-    DisaggMemoryClient cliA("cliA", rack.eventq(), rack.network(),
-                            rack.portOf(2), srvA);
-    DisaggMemoryClient cliB("cliB", rack.eventq(), rack.network(),
-                            rack.portOf(3), srvB);
+        DisaggMemoryServer::Config sa;
+        sa.port = rack.portOf(0);
+        sa.region_size = 1ull << 20;
+        DisaggMemoryServer srvA("srvA", rack.node(0).fpgaEventq(),
+                                rack.network(), rack.node(0).fpgaMem(), sa);
+        DisaggMemoryServer::Config sb;
+        sb.port = rack.portOf(1);
+        sb.region_size = 1ull << 20;
+        DisaggMemoryServer srvB("srvB", rack.node(1).fpgaEventq(),
+                                rack.network(), rack.node(1).fpgaMem(), sb);
+        DisaggMemoryClient cliA("cliA", rack.node(2).fpgaEventq(),
+                                rack.network(), rack.portOf(2), srvA);
+        DisaggMemoryClient cliB("cliB", rack.node(3).fpgaEventq(),
+                                rack.network(), rack.portOf(3), srvB);
 
-    // Interleaved writes to the SAME offsets with different payloads.
-    std::vector<std::uint8_t> da(4096, 0xaa), db(4096, 0xbb);
-    int writes = 0;
-    cliA.write(0x1000, da.data(), da.size(), [&](Tick) { ++writes; });
-    cliB.write(0x1000, db.data(), db.size(), [&](Tick) { ++writes; });
-    rack.eventq().run();
-    ASSERT_EQ(writes, 2);
+        // Interleaved writes to the SAME offsets with different
+        // payloads. Each client completes in its own node's domain, so
+        // each gets its own flag.
+        std::vector<std::uint8_t> da(4096, 0xaa), db(4096, 0xbb);
+        bool wroteA = false, wroteB = false;
+        cliA.write(0x1000, da.data(), da.size(),
+                   [&](Tick) { wroteA = true; });
+        cliB.write(0x1000, db.data(), db.size(),
+                   [&](Tick) { wroteB = true; });
+        rack.run();
+        ASSERT_TRUE(wroteA && wroteB);
 
-    std::vector<std::uint8_t> ra(4096), rb(4096);
-    int reads = 0;
-    cliA.read(0x1000, ra.data(), ra.size(), [&](Tick) { ++reads; });
-    cliB.read(0x1000, rb.data(), rb.size(), [&](Tick) { ++reads; });
-    rack.eventq().run();
-    ASSERT_EQ(reads, 2);
-    EXPECT_EQ(ra, da);
-    EXPECT_EQ(rb, db);
+        std::vector<std::uint8_t> ra(4096), rb(4096);
+        bool readA = false, readB = false;
+        cliA.read(0x1000, ra.data(), ra.size(),
+                  [&](Tick) { readA = true; });
+        cliB.read(0x1000, rb.data(), rb.size(),
+                  [&](Tick) { readB = true; });
+        rack.run();
+        ASSERT_TRUE(readA && readB);
+        EXPECT_EQ(ra, da);
+        EXPECT_EQ(rb, db);
+    }
 }
 
 TEST(ClusterRegression, TwoCoherenceBridgesInOneProcess)
@@ -541,54 +626,59 @@ TEST(ClusterRegression, TwoCoherenceBridgesInOneProcess)
     // Symmetric bridging: each node exports its CPU memory to the
     // other. Two targets + two sources share the process; their ops
     // must not cross.
-    EnzianCluster::Config cfg;
-    cfg.nodes = 2;
-    EnzianCluster rack(cfg);
-    auto &a = rack.node(0);
-    auto &b = rack.node(1);
-    const Addr window = mem::AddressMap::fpgaDramBase + (128ull << 20);
+    for (const std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        EnzianCluster::Config cfg;
+        cfg.nodes = 2;
+        cfg.threads = threads;
+        EnzianCluster rack(cfg);
+        auto &a = rack.node(0);
+        auto &b = rack.node(1);
+        const Addr window = mem::AddressMap::fpgaDramBase + (128ull << 20);
 
-    EciBridgeTarget::Config ta;
-    ta.port = rack.portOf(0, 0);
-    EciBridgeTarget targetA("ta", rack.eventq(), rack.network(),
-                            a.cpuHome(), ta);
-    EciBridgeTarget::Config tb;
-    tb.port = rack.portOf(1, 0);
-    EciBridgeTarget targetB("tb", rack.eventq(), rack.network(),
-                            b.cpuHome(), tb);
+        EciBridgeTarget::Config ta;
+        ta.port = rack.portOf(0, 0);
+        EciBridgeTarget targetA("ta", a.fpgaEventq(), rack.network(),
+                                a.fpgaRemote(), ta);
+        EciBridgeTarget::Config tb;
+        tb.port = rack.portOf(1, 0);
+        EciBridgeTarget targetB("tb", b.fpgaEventq(), rack.network(),
+                                b.fpgaRemote(), tb);
 
-    eci::DramLineSource fbA(a.fpgaMem(), a.map());
-    eci::DramLineSource fbB(b.fpgaMem(), b.map());
-    EciBridgeSource::Config scfg;
-    scfg.window_base = window;
-    scfg.window_size = 16ull << 20;
-    scfg.port = rack.portOf(0, 1);
-    EciBridgeSource srcOnA("sa", rack.eventq(), rack.network(), fbA,
-                           targetB, scfg);
-    scfg.port = rack.portOf(1, 1);
-    EciBridgeSource srcOnB("sb", rack.eventq(), rack.network(), fbB,
-                           targetA, scfg);
-    a.fpgaHome().setLineSource(&srcOnA);
-    b.fpgaHome().setLineSource(&srcOnB);
+        eci::DramLineSource fbA(a.fpgaMem(), a.map());
+        eci::DramLineSource fbB(b.fpgaMem(), b.map());
+        EciBridgeSource::Config scfg;
+        scfg.window_base = window;
+        scfg.window_size = 16ull << 20;
+        scfg.port = rack.portOf(0, 1);
+        EciBridgeSource srcOnA("sa", a.fpgaEventq(), rack.network(), fbA,
+                               targetB, scfg);
+        scfg.port = rack.portOf(1, 1);
+        EciBridgeSource srcOnB("sb", b.fpgaEventq(), rack.network(), fbB,
+                               targetA, scfg);
+        a.fpgaHome().setLineSource(&srcOnA);
+        b.fpgaHome().setLineSource(&srcOnB);
 
-    std::vector<std::uint8_t> da(cache::lineSize, 0x0a);
-    std::vector<std::uint8_t> db(cache::lineSize, 0x0b);
-    a.cpuMem().store().write(0x2000, da.data(), da.size());
-    b.cpuMem().store().write(0x2000, db.data(), db.size());
+        std::vector<std::uint8_t> da(cache::lineSize, 0x0a);
+        std::vector<std::uint8_t> db(cache::lineSize, 0x0b);
+        a.cpuMem().store().write(0x2000, da.data(), da.size());
+        b.cpuMem().store().write(0x2000, db.data(), db.size());
 
-    std::uint8_t fromB[cache::lineSize] = {};
-    std::uint8_t fromA[cache::lineSize] = {};
-    int done = 0;
-    a.cpuRemote().readLine(window + 0x2000, fromB,
-                           [&](Tick) { ++done; });
-    b.cpuRemote().readLine(window + 0x2000, fromA,
-                           [&](Tick) { ++done; });
-    rack.eventq().run();
-    ASSERT_EQ(done, 2);
-    EXPECT_EQ(std::memcmp(fromB, db.data(), cache::lineSize), 0);
-    EXPECT_EQ(std::memcmp(fromA, da.data(), cache::lineSize), 0);
-    EXPECT_EQ(srcOnA.linesBridged(), 1u);
-    EXPECT_EQ(srcOnB.linesBridged(), 1u);
+        std::uint8_t fromB[cache::lineSize] = {};
+        std::uint8_t fromA[cache::lineSize] = {};
+        // Each read completes in its own node's CPU domain.
+        bool doneA = false, doneB = false;
+        a.cpuRemote().readLine(window + 0x2000, fromB,
+                               [&](Tick) { doneA = true; });
+        b.cpuRemote().readLine(window + 0x2000, fromA,
+                               [&](Tick) { doneB = true; });
+        rack.run();
+        ASSERT_TRUE(doneA && doneB);
+        EXPECT_EQ(std::memcmp(fromB, db.data(), cache::lineSize), 0);
+        EXPECT_EQ(std::memcmp(fromA, da.data(), cache::lineSize), 0);
+        EXPECT_EQ(srcOnA.linesBridged(), 1u);
+        EXPECT_EQ(srcOnB.linesBridged(), 1u);
+    }
 }
 
 TEST(ClusterRegressionDeath, FrameForUnknownPortIsFatal)
@@ -602,7 +692,7 @@ TEST(ClusterRegressionDeath, FrameForUnknownPortIsFatal)
     EXPECT_DEATH(
         {
             sw.sendFrom(rack.portOf(0), net::Frame{64, sw.portCount(), {}});
-            rack.eventq().run();
+            rack.run();
         },
         "unknown port");
 }
@@ -625,10 +715,11 @@ TEST(ClusterRegressionDeath, OutOfBoundsPredicateIsFatal)
     DisaggMemoryServer::Config scfg;
     scfg.port = rack.portOf(0);
     scfg.region_size = 1ull << 20;
-    DisaggMemoryServer server("srv", rack.eventq(), rack.network(),
-                              rack.node(0).fpgaMem(), scfg);
-    DisaggMemoryClient client("cli", rack.eventq(), rack.network(),
-                              rack.portOf(1), server);
+    DisaggMemoryServer server("srv", rack.node(0).fpgaEventq(),
+                              rack.network(), rack.node(0).fpgaMem(),
+                              scfg);
+    DisaggMemoryClient client("cli", rack.node(1).fpgaEventq(),
+                              rack.network(), rack.portOf(1), server);
     Predicate bad;
     bad.column_offset = 12; // rows are 16 B: would read [12, 20)
     EXPECT_DEATH(

@@ -307,16 +307,6 @@ TEST(ParallelMachine, ThreadCountInvariant)
     EXPECT_EQ(domain1, domain4);
 }
 
-TEST(ParallelMachine, SharedEventqAndThreadsAreExclusive)
-{
-    EventQueue eq;
-    platform::EnzianMachine::Config mc;
-    mc.shared_eventq = &eq;
-    mc.threads = 2;
-    mc.name = "tbad";
-    EXPECT_DEATH(platform::EnzianMachine m(mc), "mutually exclusive");
-}
-
 fault::FaultPlan
 lossyPlan()
 {

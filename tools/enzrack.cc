@@ -5,24 +5,24 @@
  *
  * The rack is data: a plain-text topology (nodes, ports, per-node
  * cable latencies, service placement) either read from a file or
- * generated uniform. The tool instantiates the cluster — on the
- * legacy shared queue or on a DomainScheduler — places the KV
- * service the topology asks for (or a default one), runs every node
- * through puts plus cross-node gets, and reports the rack's shape,
- * the derived epoch lookahead, and the service counters.
+ * generated uniform. The tool instantiates the cluster on its
+ * DomainScheduler, places the KV service the topology asks for (or a
+ * default one), runs every node through puts plus cross-node gets,
+ * and reports the rack's shape, the derived epoch lookahead, and the
+ * service counters.
  *
  * Usage:
  *   enzrack --topology FILE   rack description (see DESIGN.md §11)
  *   enzrack --nodes N         uniform rack of N nodes (default 4)
  *   enzrack --ports N         ports per node for --nodes (default 4)
- *   enzrack --threads N       parallel timing domains on N threads
- *                             (0 = legacy shared queue; also honors
+ *   enzrack --threads N       run the rack's timing domains on N
+ *                             threads (default 1; also honors
  *                             ENZIAN_THREADS)
  *   enzrack --adaptive        adaptive epochs: grow past the fixed
  *                             lookahead step to the provable delivery
  *                             bound when the rack is quiescent
- *                             (parallel mode only; results stay
- *                             bit-identical at any thread count)
+ *                             (results stay bit-identical at any
+ *                             thread count)
  *   enzrack --ops N           puts per node (default 4)
  *   enzrack --describe        print the canonical topology and exit
  *   enzrack --check-determinism
@@ -33,6 +33,7 @@
  *   enzrack --json [FILE]     also dump the stats registry JSON
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -141,11 +142,10 @@ runRack(const ClusterTopology &topo, std::uint32_t threads,
     res.localReads = kv.localReads();
     res.remoteReads = kv.remoteReads();
     res.lookahead = EnzianCluster::deriveLookahead(cfg, rack.topology());
-    if (sim::DomainScheduler *sched = rack.scheduler()) {
-        res.epochs = sched->epochs();
-        res.grows = sched->adaptiveGrows();
-        res.shrinks = sched->adaptiveShrinks();
-    }
+    const sim::DomainScheduler &sched = *rack.scheduler();
+    res.epochs = sched.epochs();
+    res.grows = sched.adaptiveGrows();
+    res.shrinks = sched.adaptiveShrinks();
     std::ostringstream os;
     obs::Registry::global().exportJson(os);
     res.registryJson = os.str();
@@ -224,28 +224,21 @@ main(int argc, char **argv)
             return 1;
     }
 
-    if (adaptive && threads == 0) {
-        std::fprintf(stderr,
-                     "enzrack: --adaptive requires --threads >= 1\n");
-        return 2;
-    }
-    const auto res = runRack(topo, threads, ops, adaptive);
-    std::printf("rack '%s': %u nodes, %u switch ports, %s\n",
-                topo.name.c_str(), topo.nodeCount(), topo.totalPorts(),
-                threads ? "parallel timing domains" : "legacy queue");
-    if (threads) {
-        std::printf("  threads: %u, epoch lookahead: %.0f ns "
-                    "(derived from topology)\n",
-                    threads, units::toNanos(res.lookahead));
-        std::printf("  epochs: %llu%s\n",
-                    static_cast<unsigned long long>(res.epochs),
-                    adaptive ? " (adaptive)" : " (fixed)");
-        if (adaptive)
-            std::printf("  adaptive: %llu grown epochs, %llu shrinks "
-                        "back to the fixed step\n",
-                        static_cast<unsigned long long>(res.grows),
-                        static_cast<unsigned long long>(res.shrinks));
-    }
+    const std::uint32_t run_threads = std::max(threads, 1u);
+    const auto res = runRack(topo, run_threads, ops, adaptive);
+    std::printf("rack '%s': %u nodes, %u switch ports\n",
+                topo.name.c_str(), topo.nodeCount(), topo.totalPorts());
+    std::printf("  threads: %u, epoch lookahead: %.0f ns "
+                "(derived from topology)\n",
+                run_threads, units::toNanos(res.lookahead));
+    std::printf("  epochs: %llu%s\n",
+                static_cast<unsigned long long>(res.epochs),
+                adaptive ? " (adaptive)" : " (fixed)");
+    if (adaptive)
+        std::printf("  adaptive: %llu grown epochs, %llu shrinks "
+                    "back to the fixed step\n",
+                    static_cast<unsigned long long>(res.grows),
+                    static_cast<unsigned long long>(res.shrinks));
     std::printf("  events: %llu\n",
                 static_cast<unsigned long long>(res.events));
     std::printf("  kv: %llu puts (%llu replica acks), %llu gets "
