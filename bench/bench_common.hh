@@ -147,33 +147,38 @@ header(const std::string &title)
 using TransferFn =
     std::function<void(std::uint64_t bytes, std::function<void(Tick)>)>;
 
-/** Latency of one transfer on a quiet queue (microseconds). */
-inline double
-measureLatencyUs(EventQueue &eq, std::uint64_t bytes,
-                 const TransferFn &fn)
+/**
+ * Latency of one transfer on a quiet simulator (microseconds). @p sim
+ * is anything with now() and run(): an EventQueue, or a machine,
+ * which drives its domain scheduler when it is parallel.
+ */
+template <typename Sim>
+double
+measureLatencyUs(Sim &sim, std::uint64_t bytes, const TransferFn &fn)
 {
-    const Tick start = eq.now();
+    const Tick start = sim.now();
     Tick end = 0;
     bool done = false;
     fn(bytes, [&](Tick t) {
         end = t;
         done = true;
     });
-    eq.run();
+    sim.run();
     if (!done)
         fatal("bench transfer never completed");
     return units::toMicros(end - start);
 }
 
 /**
- * Sustained throughput with @p inflight transfers in flight (GiB/s).
+ * Sustained throughput with @p inflight transfers in flight (GiB/s);
+ * @p sim as for measureLatencyUs.
  */
-inline double
-measureThroughputGiB(EventQueue &eq, std::uint64_t bytes,
-                     std::uint32_t runs, std::uint32_t inflight,
-                     const TransferFn &fn)
+template <typename Sim>
+double
+measureThroughputGiB(Sim &sim, std::uint64_t bytes, std::uint32_t runs,
+                     std::uint32_t inflight, const TransferFn &fn)
 {
-    const Tick start = eq.now();
+    const Tick start = sim.now();
     Tick last = 0;
     std::uint32_t issued = 0, completed = 0;
     std::function<void()> issue = [&]() {
@@ -188,57 +193,7 @@ measureThroughputGiB(EventQueue &eq, std::uint64_t bytes,
     };
     for (std::uint32_t i = 0; i < inflight && i < runs; ++i)
         issue();
-    eq.run();
-    if (completed != runs)
-        fatal("bench completed %u of %u transfers", completed, runs);
-    const double secs = units::toSeconds(last - start);
-    return static_cast<double>(bytes) * runs / secs /
-           static_cast<double>(units::GiB);
-}
-
-/**
- * Latency of one transfer on a quiet machine (microseconds); drives
- * the domain scheduler when the machine is parallel.
- */
-inline double
-measureLatencyUs(platform::EnzianMachine &m, std::uint64_t bytes,
-                 const TransferFn &fn)
-{
-    const Tick start = m.now();
-    Tick end = 0;
-    bool done = false;
-    fn(bytes, [&](Tick t) {
-        end = t;
-        done = true;
-    });
-    m.run();
-    if (!done)
-        fatal("bench transfer never completed");
-    return units::toMicros(end - start);
-}
-
-/** Machine-driving variant of measureThroughputGiB (GiB/s). */
-inline double
-measureThroughputGiB(platform::EnzianMachine &m, std::uint64_t bytes,
-                     std::uint32_t runs, std::uint32_t inflight,
-                     const TransferFn &fn)
-{
-    const Tick start = m.now();
-    Tick last = 0;
-    std::uint32_t issued = 0, completed = 0;
-    std::function<void()> issue = [&]() {
-        if (issued >= runs)
-            return;
-        ++issued;
-        fn(bytes, [&](Tick t) {
-            last = std::max(last, t);
-            ++completed;
-            issue();
-        });
-    };
-    for (std::uint32_t i = 0; i < inflight && i < runs; ++i)
-        issue();
-    m.run();
+    sim.run();
     if (completed != runs)
         fatal("bench completed %u of %u transfers", completed, runs);
     const double secs = units::toSeconds(last - start);

@@ -96,22 +96,32 @@ struct Rig
         };
     }
 
-    /** Latency of one transfer (us); a machine runs all its domains. */
+    /** The rig's clock: a machine's, or the PCIe system's queue. */
+    Tick now() const { return machine ? machine->now() : eq->now(); }
+
+    /** Run to quiescence; a machine runs all its domains. */
+    void
+    run()
+    {
+        if (machine)
+            machine->run();
+        else
+            eq->run();
+    }
+
+    /** Latency of one transfer (us). */
     double
     latencyUs(std::uint64_t bytes, bool write)
     {
-        return machine ? measureLatencyUs(*machine, bytes, transfer(write))
-                       : measureLatencyUs(*eq, bytes, transfer(write));
+        return measureLatencyUs(*this, bytes, transfer(write));
     }
 
     /** Throughput of @p runs transfers, 8 in flight (GiB/s). */
     double
     throughputGiB(std::uint64_t bytes, std::uint32_t runs, bool write)
     {
-        return machine ? measureThroughputGiB(*machine, bytes, runs, 8,
-                                              transfer(write))
-                       : measureThroughputGiB(*eq, bytes, runs, 8,
-                                              transfer(write));
+        return measureThroughputGiB(*this, bytes, runs, 8,
+                                    transfer(write));
     }
 };
 

@@ -23,6 +23,7 @@ class RingFifo
 {
   public:
     bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
 
     void
     push(T &&value)

@@ -17,9 +17,13 @@ EciLink::EciLink(std::string name, EventQueue &eq, const Config &cfg)
     : SimObject(std::move(name), eq), cfg_(cfg)
 {
     recomputeBandwidth();
-    for (std::size_t dir = 0; dir < deliverQ_.size(); ++dir) {
-        deliverQ_[dir].ev.init(
-            eq, [this, dir] { deliverNext(dir); }, "eci-deliver");
+    for (auto &wire : wire_) {
+        wire.init(
+            eq,
+            [this](Tick, EciMsg &&msg) {
+                handlers_[static_cast<std::size_t>(msg.dst)](msg);
+            },
+            "eci-deliver");
     }
     stats().addCounter("messages", &agg_.msgs);
     stats().addCounter("bytes", &agg_.bytes);
@@ -69,14 +73,8 @@ EciLink::bindDomains(sim::DomainScheduler &sched,
                   "direction indexing assumes Cpu=0 / Fpga=1");
     dirBind_.bind(sched, cpu_domain, fpga_domain,
                   minCrossLatency(cfg_));
-    lanes_ = std::make_unique<std::array<sim::ChannelLane<EciMsg>, 2>>();
-    for (std::size_t dir = 0; dir < 2; ++dir) {
-        (*lanes_)[dir].attach(*dirBind_.channel(dir),
-                              [this](EciMsg &m) {
-                                  handlers_[static_cast<std::size_t>(
-                                      m.dst)](m);
-                              });
-    }
+    for (std::size_t dir = 0; dir < wire_.size(); ++dir)
+        wire_[dir].bind(dirBind_, dir);
     sched.addBarrierTask([this] { foldDomainState(); });
 }
 
@@ -223,6 +221,9 @@ EciLink::recordTx(std::size_t dir, Tick tnow, const EciMsg &msg,
 Tick
 EciLink::send(const EciMsg &msg)
 {
+    // A link joins two nodes: every message crosses to the other one.
+    ENZIAN_ASSERT(msg.dst != msg.src, "node %s sent itself a message "
+                  "on %s", mem::toString(msg.src), name().c_str());
     // Domain mode: time comes from the sending direction's domain
     // clock, and that direction's thread is the single writer of its
     // serializer, stats stage and tap stage.
@@ -249,35 +250,7 @@ EciLink::send(const EciMsg &msg)
     ENZIAN_ASSERT(h, "no receiver registered for node %s on %s",
                   mem::toString(msg.dst), name().c_str());
 
-    if (msg.dst == msg.src) {
-        // Loopback stays on the sending clock, as a one-shot: its
-        // receiver-side latency can break the direction's delivery
-        // order.
-        const EciMsg copy = msg;
-        EventQueue &clock =
-            dirBind_.bound() ? dirBind_.clock(dir) : eventq();
-        clock.schedule(
-            t.delivery,
-            [this, copy]() {
-                handlers_[static_cast<std::size_t>(copy.dst)](copy);
-            },
-            "eci-deliver-local");
-        return t.delivery;
-    }
-    if (lanes_) {
-        // Cross-domain: the message rides the direction's slot arena
-        // with no per-message allocation, and the barrier drain stays
-        // cache-linear over the channel's entry stream.
-        (*lanes_)[dir].push(t.delivery, msg);
-        return t.delivery;
-    }
-    // One queue: the serializer is FIFO per direction, so deliveries
-    // land in order; append to the direction's queue and let its one
-    // reusable event drain it.
-    DeliveryQueue &q = deliverQ_[dir];
-    q.fifo.emplace_back(t.delivery, msg);
-    if (!q.ev.scheduled())
-        q.ev.schedule(q.fifo.front().first);
+    wire_[dir].push(t.delivery, EciMsg(msg));
     return t.delivery;
 }
 
@@ -289,27 +262,26 @@ EciLink::sendFaulted(Tick tnow, const EciMsg &msg, FaultAction act)
     // is discarded there, which is operationally identical to a drop;
     // we account the two separately. Neither reaches the tap — a real
     // capture would never see the message arrive.
-    const auto dir = static_cast<std::size_t>(msg.src);
-    TxStats &s = txStats(dir);
+    const TxTiming t = txTiming(tnow, msg);
+    const Tick end = t.start + t.stream;
+    TxStats &s = txStats(static_cast<std::size_t>(msg.src));
     s.msgs.inc();
     s.bytes.inc(msg.wireBytes());
-    const Tick ser_ready = tnow + procLatency(msg.src);
-    const Tick start = std::max(ser_ready, busFreeAt_[dir].v);
-    const Tick stream = units::transferTicks(msg.wireBytes(), effBw_);
-    busFreeAt_[dir].v = start + stream;
     if (act == FaultAction::Drop) {
         s.dropped.inc();
-        ENZIAN_SPAN(name(), "fault-drop", start, start + stream);
+        ENZIAN_SPAN(name(), "fault-drop", t.start, end);
     } else {
         s.corrupted.inc();
-        ENZIAN_SPAN(name(), "fault-corrupt", start, start + stream);
+        ENZIAN_SPAN(name(), "fault-corrupt", t.start, end);
     }
-    return start + stream;
+    return end;
 }
 
 void
 EciLink::failLanes(std::uint32_t n)
 {
+    ENZIAN_ASSERT(!domainMode(), "lane failure on '%s' in domain mode",
+                  name().c_str());
     laneFails_.inc();
     const std::uint32_t survivors = cfg_.lanes > n ? cfg_.lanes - n : 1;
     logWarn("lane failure: %u lane(s) down, retraining to %u lanes", n,
@@ -321,6 +293,8 @@ EciLink::failLanes(std::uint32_t n)
 void
 EciLink::restoreLanes(std::uint32_t lanes)
 {
+    ENZIAN_ASSERT(!domainMode(), "lane restore on '%s' in domain mode",
+                  name().c_str());
     logInfo("restoring link to %u lanes", lanes);
     setLanes(lanes);
     beginRetrain(units::ns(cfg_.retrain_ns));
@@ -329,15 +303,14 @@ EciLink::restoreLanes(std::uint32_t lanes)
 void
 EciLink::flap(Tick down_time)
 {
+    ENZIAN_ASSERT(!domainMode(), "link flap on '%s' in domain mode",
+                  name().c_str());
     flaps_.inc();
     // Everything in flight is lost; the credit machinery reconciles
     // (the agents' retry timers re-issue the requests).
     std::uint64_t lost = 0;
-    for (auto &q : deliverQ_) {
-        lost += q.fifo.size();
-        q.fifo.clear();
-        q.ev.cancel();
-    }
+    for (auto &wire : wire_)
+        lost += wire.clear();
     creditsReconciled_.inc(lost);
     logWarn("link flap: down %.1f us, %llu message(s) lost",
             units::toNanos(down_time) / 1e3,
@@ -354,20 +327,6 @@ EciLink::beginRetrain(Tick duration)
     for (auto &free_at : busFreeAt_)
         free_at.v = std::max(free_at.v, retrainEndsAt_);
     ENZIAN_SPAN(name(), "retrain", now(), retrainEndsAt_);
-}
-
-void
-EciLink::deliverNext(std::size_t dir)
-{
-    DeliveryQueue &q = deliverQ_[dir];
-    ENZIAN_ASSERT(!q.fifo.empty(), "delivery event with empty queue");
-    const EciMsg msg = q.fifo.front().second;
-    q.fifo.pop_front();
-    // Re-arm before invoking the handler: it may send() more traffic
-    // in this direction, which appends behind the current front.
-    if (!q.fifo.empty())
-        q.ev.schedule(q.fifo.front().first);
-    handlers_[static_cast<std::size_t>(msg.dst)](msg);
 }
 
 const char *

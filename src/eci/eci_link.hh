@@ -15,16 +15,15 @@
 #define ENZIAN_ECI_ECI_LINK_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "eci/eci_msg.hh"
-#include "sim/channel_lane.hh"
 #include "sim/domain_binding.hh"
 #include "sim/sim_object.hh"
+#include "sim/wire.hh"
 
 namespace enzian::eci {
 
@@ -87,7 +86,8 @@ class EciLink : public SimObject
      * the scheduler's channels, and per-direction staged statistics
      * and trace taps are folded/flushed deterministically at every
      * epoch barrier. Must be called before the scheduler starts.
-     * Lane-failure/flap/retrain APIs are not supported in this mode.
+     * failLanes(), restoreLanes() and flap() die in this mode: they
+     * touch both directions from one thread.
      */
     void bindDomains(sim::DomainScheduler &sched,
                      sim::TimingDomain &cpu_domain,
@@ -129,8 +129,8 @@ class EciLink : public SimObject
     void setFaultFilter(FaultFilter f) { fault_ = std::move(f); }
 
     /**
-     * Send @p msg; schedules delivery at the destination handler.
-     * @return the delivery tick.
+     * Send @p msg to the other node; schedules delivery at its
+     * handler. @return the delivery tick.
      */
     Tick send(const EciMsg &msg);
 
@@ -226,7 +226,6 @@ class EciLink : public SimObject
 
     void recomputeBandwidth();
     Tick procLatency(mem::NodeId node) const;
-    void deliverNext(std::size_t dir);
     Tick sendFaulted(Tick tnow, const EciMsg &msg, FaultAction act);
     void beginRetrain(Tick duration);
     TxTiming txTiming(Tick tnow, const EciMsg &msg);
@@ -238,18 +237,6 @@ class EciLink : public SimObject
     }
     void foldDomainState();
     void flushTaps();
-
-    /**
-     * Per-direction delivery pipeline. The serializer is FIFO, so
-     * deliveries in one direction are monotone in time; instead of a
-     * fresh heap entry (and lambda allocation) per message, queued
-     * messages ride a deque drained by one reusable Event.
-     */
-    struct DeliveryQueue
-    {
-        std::deque<std::pair<Tick, EciMsg>> fifo;
-        Event ev;
-    };
 
     /** Cache-line-isolated per-direction serializer occupancy, so
      *  two domain threads sending concurrently don't false-share. */
@@ -263,7 +250,9 @@ class EciLink : public SimObject
     /** Serializer occupancy per direction, indexed by source node. */
     std::array<DirTick, 2> busFreeAt_;
     std::array<Handler, 2> handlers_;
-    std::array<DeliveryQueue, 2> deliverQ_;
+    /** Messages in flight per direction (by msg.src): the serializer
+     *  is FIFO and the latency fixed, so they leave in send order. */
+    std::array<sim::Wire<EciMsg>, 2> wire_;
     std::vector<Tap> taps_; ///< fire in attach order
     FaultFilter fault_;
     /** Tick the current retrain (if any) completes. */
@@ -281,10 +270,6 @@ class EciLink : public SimObject
     /** Per-direction source clock + outbound mailbox (by msg.src),
      *  bound with this link's own latency floor as pair lookahead. */
     sim::DirDomainBinding dirBind_;
-    /** Per-direction EciMsg slot arenas: cross-domain deliveries ride
-     *  the channel's SoA entry stream with zero per-message
-     *  allocation (see ChannelLane). */
-    std::unique_ptr<std::array<sim::ChannelLane<EciMsg>, 2>> lanes_;
     /** Per-direction buffered tap events, flushed at barriers. */
     std::array<std::vector<std::pair<Tick, EciMsg>>, 2> tapStage_;
 };

@@ -19,8 +19,14 @@ EthernetLink::EthernetLink(std::string name, EventQueue &eq,
     if (cfg_.mtu == 0)
         fatal("ethernet link '%s': zero MTU", SimObject::name().c_str());
     lineBw_ = cfg_.rate_gbps * 1e9 / 8.0;
-    initWire(0, eq);
-    initWire(1, eq);
+    for (PortSide from = 0; from < 2; ++from) {
+        wire_[from].init(
+            eq,
+            [this, from](Tick when, Frame &&frame) {
+                handlers_[from ^ 1](when, std::move(frame));
+            },
+            "eth-deliver");
+    }
     stats().addCounter("bytes_tx_0", &bytes_[0]);
     stats().addCounter("bytes_tx_1", &bytes_[1]);
 }
@@ -49,34 +55,8 @@ EthernetLink::bindDomains(sim::DomainScheduler &sched,
     // in the rack pins the global minimum lower.
     dirBind_.bind(sched, side0_domain, side1_domain,
                   minCrossLatency(cfg_));
-    if (dirBind_.crossDomain()) {
-        lanes_ = std::make_unique<
-            std::array<sim::ChannelLane<InFlight>, 2>>();
-        for (PortSide side = 0; side < 2; ++side) {
-            (*lanes_)[side].attach(
-                *dirBind_.channel(side), [this, side](InFlight &f) {
-                    // Moved out so the body dies with this delivery,
-                    // not when the slot is reused.
-                    Frame frame = std::move(f.frame);
-                    handlers_[side ^ 1](f.delivery, std::move(frame));
-                });
-        }
-    } else {
-        // Both sides in one domain: the wires deliver on its queue.
-        initWire(0, dirBind_.clock(0));
-        initWire(1, dirBind_.clock(1));
-    }
-}
-
-void
-EthernetLink::initWire(PortSide from, EventQueue &eq)
-{
-    wire_[from].init(
-        eq,
-        [this, from](Tick when, Frame &&frame) {
-            handlers_[from ^ 1](when, std::move(frame));
-        },
-        "eth-deliver");
+    for (PortSide from = 0; from < 2; ++from)
+        wire_[from].bind(dirBind_, from);
 }
 
 void
@@ -114,14 +94,6 @@ EthernetLink::send(PortSide from, Frame frame)
 
     ENZIAN_ASSERT(handlers_[to], "no receiver on side %u of %s", to,
                   name().c_str());
-    if (dirBind_.crossDomain()) {
-        // Frames cross through the side's slot arena: the channel
-        // records only (tick, lane, slot) and the delivery closure is
-        // a two-word inline capture.
-        (*lanes_)[from].push(delivery, InFlight{delivery, std::move(frame)});
-        return delivery;
-    }
-    // Legacy mode, or both sides in one domain: deliver locally.
     wire_[from].push(delivery, std::move(frame));
     return delivery;
 }

@@ -14,13 +14,11 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 
 #include "net/frame.hh"
-#include "sim/channel_lane.hh"
-#include "sim/delay_line.hh"
 #include "sim/domain_binding.hh"
 #include "sim/sim_object.hh"
+#include "sim/wire.hh"
 
 namespace enzian::net {
 
@@ -97,16 +95,6 @@ class EthernetLink : public SimObject
     }
 
   private:
-    /** A frame crossing domains, due at the far side at @c delivery. */
-    struct InFlight
-    {
-        Tick delivery = 0;
-        Frame frame;
-    };
-
-    /** Bind side @p from's wire to @p eq, delivering to the far side. */
-    void initWire(PortSide from, EventQueue &eq);
-
     Config cfg_;
     double lineBw_;
     /** Serializer occupancy per sending side; in domain mode each
@@ -115,21 +103,16 @@ class EthernetLink : public SimObject
     Handler handlers_[2];
     /** bytes_[side] likewise has a single writer in domain mode. */
     Counter bytes_[2];
-    /**
-     * Frames in flight per sending side when delivery stays on one
-     * queue. A side delivers in send order (each frame starts after
-     * the previous one left the serializer, and the latency is
-     * fixed), so each side keeps one heap node, for its oldest frame.
-     */
-    sim::DelayLine<Frame> wire_[2];
+    /** Frames in flight per sending side, delivered in send order:
+     *  each frame starts after the previous one left the serializer,
+     *  and the latency is fixed. */
+    std::array<sim::Wire<Frame>, 2> wire_;
 
     // --- parallel domain mode state (unbound in legacy mode) -------
     /** Per-side source clock + outbound mailbox, bound with this
      *  link's own latency floor as the pair lookahead (per-port cable
      *  latencies become per-pair lookaheads). */
     sim::DirDomainBinding dirBind_;
-    /** Per-side frame slot arenas (cross-domain bindings only). */
-    std::unique_ptr<std::array<sim::ChannelLane<InFlight>, 2>> lanes_;
 };
 
 } // namespace enzian::net

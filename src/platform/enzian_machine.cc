@@ -63,9 +63,7 @@ EnzianMachine::EnzianMachine(const Config &cfg) : cfg_(cfg)
     cache::Cache::Config l2cfg;
     l2cfg.size_bytes = params::cpuL2Bytes;
     l2cfg.ways = 16;
-    l2cfg.policy = cfg_.l2_policy;
     l2cfg.partitions = 2; // local (home) vs remote-agent fills
-    l2cfg.adapt_epoch = cfg_.l2_adapt_epoch;
     l2_ = std::make_unique<cache::Cache>(cfg_.name + ".cpu.l2", *eqPtr_, l2cfg);
 
     fabric_ = std::make_unique<eci::EciFabric>(

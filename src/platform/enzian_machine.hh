@@ -53,15 +53,6 @@ class EnzianMachine
         /** Attach the L2 to the CPU remote agent (cached mode). */
         bool cpu_caches_remote = true;
         /**
-         * L2 victim-selection policy. Lru is the classic shared
-         * cache; WayPartition / Adaptive split the ways between
-         * locally-homed fills (home agent, owner 0) and peer-homed
-         * fills (remote agent, owner 1) — see cache/llc_policy.hh.
-         */
-        cache::ReplPolicy l2_policy = cache::ReplPolicy::Lru;
-        /** Adaptive L2 only: misses per repartition epoch. */
-        std::uint64_t l2_adapt_epoch = 1024;
-        /**
          * CPU home agent read-allocate: local reads that miss the L2
          * install the line there as Shared (free frames only). Gives
          * write-update protocols a resident home copy to refresh.

@@ -16,13 +16,14 @@
  * no atomics are needed anywhere):
  *
  *   1. source thread, during an epoch: push() pops a slot from the
- *      free list, copies or moves the payload in, and appends an
- *      entry to the channel.
+ *      free list, moves the payload in, and appends an entry to the
+ *      channel.
  *   2. coordinator, at the barrier: the channel drain calls forward(),
  *      which schedules the inline delivery closure into the
  *      destination queue.
- *   3. destination thread, in a later epoch: the closure runs the
- *      handler against the slot and retires it.
+ *   3. destination thread, in a later epoch: the closure moves the
+ *      payload out of the slot, retires the slot and hands the
+ *      payload to the handler with its delivery tick.
  *   4. coordinator, at the next barrier: recycle() moves retired
  *      slots back to the free list.
  *
@@ -67,14 +68,15 @@ class ChannelLaneBase
 
 /**
  * Slot-arena lane for payload type @p T (see file comment). T must be
- * default-constructible and copy- or move-assignable; the handler
- * runs in the destination domain.
+ * default-constructible and move-assignable; the handler runs in the
+ * destination domain.
  */
 template <typename T>
 class ChannelLane final : public ChannelLaneBase
 {
   public:
-    using Handler = std::function<void(T &)>;
+    /** Destination-side callback: (delivery tick, the payload). */
+    using Handler = std::function<void(Tick, T &&)>;
 
     ChannelLane() = default;
     ChannelLane(const ChannelLane &) = delete;
@@ -94,22 +96,11 @@ class ChannelLane final : public ChannelLaneBase
         id_ = chan.addLane(*this);
     }
 
-    bool attached() const { return chan_ != nullptr; }
-
     /**
-     * Copy @p value into a slot and enqueue it for delivery at
+     * Move @p value into a slot and enqueue it for delivery at
      * absolute time @p when. Source-domain threads only; same
      * lookahead/promise contract as CrossDomainChannel::push.
      */
-    void
-    push(Tick when, const T &value)
-    {
-        const std::uint32_t idx = acquire();
-        slot(idx) = value;
-        chan_->pushLane(when, id_, idx);
-    }
-
-    /** As push(when, const T &), moving @p value into the slot. */
     void
     push(Tick when, T &&value)
     {
@@ -136,8 +127,11 @@ class ChannelLane final : public ChannelLaneBase
     void
     deliver(std::uint32_t idx)
     {
-        handler_(slot(idx));
+        // Moved out so the payload dies with this delivery, not when
+        // the slot is reused.
+        T value = std::move(slot(idx));
         retired_.push_back(idx);
+        handler_(chan_->dstQueue().now(), std::move(value));
     }
 
     void

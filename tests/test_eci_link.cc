@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "eci/eci_link.hh"
 #include "platform/params.hh"
+#include "sim/domain_scheduler.hh"
 
 namespace enzian::eci {
 namespace {
@@ -82,6 +86,25 @@ TEST(EciLink, OppositeDirectionsDoNotContend)
                 1.0);
 }
 
+// A message takes its place among same-tick events when it is sent,
+// as one event per message would: B is sent before the one-shot is
+// scheduled at B's delivery tick, so B runs first although A is still
+// in flight at that point.
+TEST(EciLink, SameTickDeliveryFollowsSendOrder)
+{
+    EventQueue eq;
+    EciLink link("l", eq, platform::params::eciLinkConfig());
+    std::vector<std::string> order;
+    link.setReceiver(mem::NodeId::Cpu, [&](const EciMsg &m) {
+        order.push_back(m.addr == 0 ? "A" : "B");
+    });
+    link.send(dataMsg(0));
+    const Tick b = link.send(dataMsg(128));
+    eq.schedule(b, [&]() { order.push_back("one-shot"); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"A", "B", "one-shot"}));
+}
+
 TEST(EciLink, LaneDialDownScalesBandwidth)
 {
     EventQueue eq;
@@ -136,6 +159,52 @@ TEST(EciLink, AddTapChainsObservers)
     EXPECT_EQ(order.back(), 3);
     link.setTap(nullptr);
     EXPECT_EQ(link.tapCount(), 0u);
+}
+
+class EciLinkDeathTest : public ::testing::Test
+{
+  protected:
+    /** Bind the link across a CPU and an FPGA domain. */
+    void
+    bindDomains()
+    {
+        link.bindDomains(sched, sched.addDomain("cpu"),
+                         sched.addDomain("fpga"));
+    }
+
+    EventQueue eq;
+    sim::DomainScheduler sched{
+        "t.sched",
+        EciLink::minCrossLatency(platform::params::eciLinkConfig()), 1};
+    EciLink link{"l", eq, platform::params::eciLinkConfig()};
+};
+
+TEST_F(EciLinkDeathTest, MessageToItsOwnSenderDies)
+{
+    link.setReceiver(mem::NodeId::Cpu, [](const EciMsg &) {});
+    EciMsg m = dataMsg(0, mem::NodeId::Cpu);
+    m.dst = mem::NodeId::Cpu;
+    EXPECT_DEATH(link.send(m), "sent itself");
+}
+
+// Lane faults and flaps touch both directions from one thread, and a
+// flap cannot reach messages already in a cross-domain channel.
+TEST_F(EciLinkDeathTest, FailLanesInDomainModeDies)
+{
+    bindDomains();
+    EXPECT_DEATH(link.failLanes(1), "domain mode");
+}
+
+TEST_F(EciLinkDeathTest, RestoreLanesInDomainModeDies)
+{
+    bindDomains();
+    EXPECT_DEATH(link.restoreLanes(12), "domain mode");
+}
+
+TEST_F(EciLinkDeathTest, FlapInDomainModeDies)
+{
+    bindDomains();
+    EXPECT_DEATH(link.flap(units::us(1.0)), "domain mode");
 }
 
 TEST(EciFabric, SingleLinkPolicyUsesLinkZero)

@@ -168,7 +168,7 @@ TEST(ChannelLane, PreservesPushOrderAcrossLaneAndGenericEntries)
     auto &ab = sched.channel(a, b);
     sim::ChannelLane<int> lane;
     std::vector<int> order;
-    lane.attach(ab, [&](int &v) { order.push_back(v); });
+    lane.attach(ab, [&](Tick, int &&v) { order.push_back(v); });
 
     a.queue().schedule(0, [&]() {
         lane.push(kLookahead, 1);
@@ -190,7 +190,7 @@ TEST(ChannelLane, RecyclesSlotsAcrossEpochs)
     auto &ab = sched.channel(a, b);
     sim::ChannelLane<std::uint64_t> lane;
     std::uint64_t sum = 0;
-    lane.attach(ab, [&](std::uint64_t &v) { sum += v; });
+    lane.attach(ab, [&](Tick, std::uint64_t &&v) { sum += v; });
 
     constexpr int kEpochs = 50;
     constexpr int kPerEpoch = 64;

@@ -3,18 +3,23 @@
  * Tests for the conservative parallel simulation layer: cross-domain
  * channel merge ordering, epoch-boundary delivery, stale cancels
  * across domains, thread-count determinism of the scheduler and of a
- * full machine, and the chaos-scenario registry byte-compare.
+ * full machine, a link direction (sim::Wire) on one queue and
+ * across domains, and the chaos-scenario registry byte-compare.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "base/rng.hh"
 #include "eci/eci_link.hh"
 #include "fault/chaos_scenario.hh"
 #include "fault/fault_plan.hh"
@@ -22,6 +27,7 @@
 #include "platform/params.hh"
 #include "sim/cross_domain_channel.hh"
 #include "sim/domain_scheduler.hh"
+#include "sim/wire.hh"
 
 namespace enzian {
 namespace {
@@ -228,6 +234,94 @@ TEST(DomainScheduler, RunUntilAdvancesAllDomains)
     EXPECT_EQ(sched.now(), 200u);
     sched.run();
     EXPECT_EQ(fired, 2);
+}
+
+/** One item sent on a wire: at @c send, due at @c deliver. */
+struct WireSend
+{
+    Tick send;
+    Tick deliver;
+    std::uint64_t item;
+};
+
+/** Seeded sends for both directions of a link, many on one tick. */
+std::array<std::vector<WireSend>, 2>
+wireStream()
+{
+    Rng rng(0x3172E);
+    std::array<std::vector<WireSend>, 2> out;
+    for (std::size_t dir = 0; dir < 2; ++dir) {
+        Tick send = 0;
+        Tick tail = 0;
+        for (std::uint64_t i = 0; i < 400; ++i) {
+            send += rng.below(3) == 0 ? 0 : rng.below(40);
+            tail = std::max(tail, send + kLookahead + rng.below(60));
+            out[dir].push_back({send, tail, dir * 1000 + i});
+        }
+    }
+    return out;
+}
+
+enum class WireMode { OneQueue, TwoDomains, OneDomain };
+
+/** (tick, item) deliveries per direction of wireStream(). */
+std::array<std::vector<std::pair<Tick, std::uint64_t>>, 2>
+wireDeliveries(WireMode mode, std::uint32_t threads = 1)
+{
+    const auto stream = wireStream();
+    // Each direction's trace is written only by its receiver's
+    // domain.
+    std::array<std::vector<std::pair<Tick, std::uint64_t>>, 2> got;
+    sim::DomainScheduler sched("t.wire", kLookahead, threads);
+    EventQueue eq;
+    std::array<sim::Wire<std::uint64_t>, 2> wires;
+    for (std::size_t dir = 0; dir < 2; ++dir) {
+        wires[dir].init(
+            eq,
+            [&got, dir](Tick when, std::uint64_t &&item) {
+                got[dir].emplace_back(when, item);
+            },
+            "t.wire");
+    }
+    auto sendAll = [&](std::size_t dir, EventQueue &src) {
+        for (const WireSend &s : stream[dir]) {
+            src.schedule(s.send, [&wires, dir, s]() {
+                wires[dir].push(s.deliver, std::uint64_t{s.item});
+            });
+        }
+    };
+    if (mode == WireMode::OneQueue) {
+        sendAll(0, eq);
+        sendAll(1, eq);
+        eq.run();
+        return got;
+    }
+    auto &a = sched.addDomain("a");
+    auto &b = mode == WireMode::TwoDomains ? sched.addDomain("b") : a;
+    sim::DirDomainBinding binding;
+    binding.bind(sched, a, b, kLookahead);
+    for (std::size_t dir = 0; dir < 2; ++dir)
+        wires[dir].bind(binding, dir);
+    sendAll(0, binding.clock(0));
+    sendAll(1, binding.clock(1));
+    sched.run();
+    return got;
+}
+
+TEST(Wire, SameDeliveriesOnOneQueueAcrossDomainsAndInOneDomain)
+{
+    const auto stream = wireStream();
+    const auto local = wireDeliveries(WireMode::OneQueue);
+    for (std::size_t dir = 0; dir < 2; ++dir) {
+        ASSERT_EQ(local[dir].size(), stream[dir].size());
+        for (std::size_t i = 0; i < stream[dir].size(); ++i) {
+            EXPECT_EQ(local[dir][i].first, stream[dir][i].deliver);
+            EXPECT_EQ(local[dir][i].second, stream[dir][i].item);
+        }
+    }
+    EXPECT_EQ(wireDeliveries(WireMode::TwoDomains, 1), local);
+    EXPECT_EQ(wireDeliveries(WireMode::TwoDomains, 4), local);
+    EXPECT_EQ(wireDeliveries(WireMode::OneDomain), local);
 }
 
 /** Completion tick traces of a small bidirectional ECI workload. */
