@@ -8,8 +8,10 @@
  * selected fraction is small enough that scan time at the memory
  * beats shipping the table.
  *
- * Server and client run on their own node's FPGA domain; honours
- * ENZIAN_THREADS, with the same rows at any thread count.
+ * The table load and the full-read baseline are one-sided RDMA into
+ * the server node's FPGA DRAM, on a second port of each node. Server,
+ * client and both RDMA ends run on their own node's FPGA domain;
+ * honours ENZIAN_THREADS, with the same rows at any thread count.
  */
 
 #include "bench_common.hh"
@@ -18,6 +20,7 @@
 
 #include "cluster/disagg_memory.hh"
 #include "cluster/enzian_cluster.hh"
+#include "net/rdma_engine.hh"
 
 using namespace enzian;
 using namespace enzian::cluster;
@@ -52,13 +55,22 @@ main()
                                   scfg);
         DisaggMemoryClient client("cli", rack.node(1).fpgaEventq(),
                                   rack.network(), rack.portOf(1), server);
+        net::DirectDramPath dram(rack.node(0).fpgaMem());
+        net::RdmaTarget::Config tcfg;
+        tcfg.port = rack.portOf(0, 1);
+        tcfg.request_proc_ns = scfg.request_proc_ns;
+        net::RdmaTarget target("srv.rdma", rack.node(0).fpgaEventq(),
+                               rack.network(), dram, tcfg);
+        net::RdmaInitiator rdma("cli.rdma", rack.node(1).fpgaEventq(),
+                                rack.network(), rack.portOf(1, 1),
+                                tcfg.port);
 
         std::vector<std::uint8_t> table(rows * row);
         for (std::uint64_t k = 0; k < rows; ++k)
             std::memcpy(&table[k * row], &k, 8);
         bool loaded = false;
-        client.write(0, table.data(), table.size(),
-                     [&](Tick) { loaded = true; });
+        rdma.write(0, table.data(), table.size(),
+                   [&](Tick) { loaded = true; });
         rack.run();
         if (!loaded)
             fatal("table load failed");
@@ -83,8 +95,8 @@ main()
         std::vector<std::uint8_t> full(rows * row);
         Tick read_t = 0;
         const Tick t1 = client.now();
-        client.read(0, full.data(), full.size(),
-                    [&](Tick t) { read_t = t - t1; });
+        rdma.read(0, full.data(), full.size(),
+                  [&](Tick t) { read_t = t - t1; });
         rack.run();
 
         std::printf("%13.2f%% %14.0f %14.0f %14.1f %13.1fx\n",

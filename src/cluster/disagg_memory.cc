@@ -69,87 +69,44 @@ DisaggMemoryServer::DisaggMemoryServer(std::string name, EventQueue &eq,
 }
 
 void
-DisaggMemoryServer::respondAt(Tick when, WireRequest &&req,
-                              const char *what)
-{
-    net::Payload body;
-    body.emplace<WireRequest>(std::move(req));
-    eventq().schedule(
-        when,
-        [this, body = std::move(body)]() mutable {
-            const auto &rsp = body.get<WireRequest>();
-            const std::uint64_t bytes = headerBytes + rsp.data.size();
-            const std::uint32_t dst = rsp.srcPort;
-            sw_.sendFrom(cfg_.port,
-                         net::Frame{bytes, dst, std::move(body)});
-        },
-        what);
-}
-
-void
 DisaggMemoryServer::serve(WireRequest &&req)
 {
     served_.inc();
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(req.row_bytes) * req.row_count;
+    ENZIAN_ASSERT(req.off + bytes <= cfg_.region_size,
+                  "disagg scan out of region");
+    req.pred.validate(req.row_bytes);
+    // The scan engine streams rows from DRAM and filters in the
+    // fabric: time = max(DRAM stream, engine rate).
+    std::vector<std::uint8_t> rows(bytes);
+    const Tick dram_done = mem_.read(now(), req.off, rows.data(), bytes).done;
+    const double engine_s = static_cast<double>(req.row_count) /
+                            (cfg_.rows_per_cycle * cfg_.clock_hz);
+    const Tick ready = std::max(dram_done, now() + units::sec(engine_s));
 
-    using Kind = WireRequest::Kind;
-    switch (req.kind) {
-      case Kind::Read: {
-        ENZIAN_ASSERT(req.off + req.len <= cfg_.region_size,
-                      "disagg read out of region");
-        req.data.resize(req.len);
-        const Tick ready =
-            mem_.read(now(), cfg_.region_base + req.off, req.data.data(),
-                      req.len)
-                .done;
-        returned_.inc(req.len);
-        respondAt(ready, std::move(req), "disagg-read-done");
-        return;
-      }
-      case Kind::Write: {
-        ENZIAN_ASSERT(req.off + req.data.size() <= cfg_.region_size,
-                      "disagg write out of region");
-        const Tick durable =
-            mem_.write(now(), cfg_.region_base + req.off,
-                       req.data.data(), req.data.size())
-                .done;
-        req.data.clear(); // the ack carries no data
-        respondAt(durable, std::move(req), "disagg-write-done");
-        return;
-      }
-      case Kind::ScanFilter: {
-        const std::uint64_t bytes =
-            static_cast<std::uint64_t>(req.row_bytes) * req.row_count;
-        ENZIAN_ASSERT(req.off + bytes <= cfg_.region_size,
-                      "disagg scan out of region");
-        req.pred.validate(req.row_bytes);
-        // The scan engine streams rows from DRAM and filters in the
-        // fabric: time = max(DRAM stream, engine rate).
-        std::vector<std::uint8_t> rows(bytes);
-        const Tick dram_done =
-            mem_.read(now(), cfg_.region_base + req.off, rows.data(),
-                      bytes)
-                .done;
-        const double engine_s =
-            static_cast<double>(req.row_count) /
-            (cfg_.rows_per_cycle * cfg_.clock_hz);
-        const Tick ready =
-            std::max(dram_done, now() + units::sec(engine_s));
-
-        std::vector<std::uint8_t> matches;
-        for (std::uint64_t r = 0; r < req.row_count; ++r) {
-            const std::uint8_t *row = rows.data() + r * req.row_bytes;
-            if (req.pred.matches(row))
-                matches.insert(matches.end(), row,
-                               row + req.row_bytes);
-        }
-        scanned_.inc(req.row_count);
-        returned_.inc(matches.size());
-        req.data = std::move(matches);
-        respondAt(ready, std::move(req), "disagg-scan-done");
-        return;
-      }
+    std::vector<std::uint8_t> matches;
+    for (std::uint64_t r = 0; r < req.row_count; ++r) {
+        const std::uint8_t *row = rows.data() + r * req.row_bytes;
+        if (req.pred.matches(row))
+            matches.insert(matches.end(), row, row + req.row_bytes);
     }
-    panic("bad disagg request kind");
+    scanned_.inc(req.row_count);
+    returned_.inc(matches.size());
+    req.data = std::move(matches);
+
+    net::Payload body;
+    body.emplace<WireRequest>(std::move(req));
+    eventq().schedule(
+        ready,
+        [this, body = std::move(body)]() mutable {
+            const auto &rsp = body.get<WireRequest>();
+            const std::uint64_t wire = headerBytes + rsp.data.size();
+            const std::uint32_t dst = rsp.srcPort;
+            sw_.sendFrom(cfg_.port,
+                         net::Frame{wire, dst, std::move(body)});
+        },
+        "disagg-scan-done");
 }
 
 DisaggMemoryClient::DisaggMemoryClient(std::string name, EventQueue &eq,
@@ -165,54 +122,21 @@ DisaggMemoryClient::DisaggMemoryClient(std::string name, EventQueue &eq,
 }
 
 void
-DisaggMemoryClient::issue(DisaggMemoryServer::WireRequest req,
-                          std::uint64_t bytes, Pending p)
-{
-    req.id = nextId_++;
-    req.srcPort = port_;
-    pending_[req.id] = std::move(p);
-    sw_.sendFrom(port_, net::makeFrame(bytes, server_.config().port,
-                                       std::move(req)));
-}
-
-void
-DisaggMemoryClient::read(Addr off, std::uint8_t *dst, std::uint64_t len,
-                         Done done)
-{
-    DisaggMemoryServer::WireRequest req;
-    req.kind = DisaggMemoryServer::WireRequest::Kind::Read;
-    req.off = off;
-    req.len = len;
-    issue(std::move(req), headerBytes, Pending{dst, std::move(done), {}});
-}
-
-void
-DisaggMemoryClient::write(Addr off, const std::uint8_t *src,
-                          std::uint64_t len, Done done)
-{
-    DisaggMemoryServer::WireRequest req;
-    req.kind = DisaggMemoryServer::WireRequest::Kind::Write;
-    req.off = off;
-    req.data.assign(src, src + len);
-    issue(std::move(req), len + headerBytes,
-          Pending{nullptr, std::move(done), {}});
-}
-
-void
 DisaggMemoryClient::scanFilter(Addr off, std::uint32_t row_bytes,
                                std::uint64_t row_count,
                                const Predicate &pred, ScanDone done)
 {
     pred.validate(row_bytes);
     DisaggMemoryServer::WireRequest req;
-    req.kind = DisaggMemoryServer::WireRequest::Kind::ScanFilter;
     req.off = off;
     req.row_bytes = row_bytes;
     req.row_count = row_count;
     req.pred = pred;
-    Pending p;
-    p.scan_done = std::move(done);
-    issue(std::move(req), headerBytes, std::move(p));
+    req.id = nextId_++;
+    req.srcPort = port_;
+    pending_.emplace(req.id, std::move(done));
+    sw_.sendFrom(port_, net::makeFrame(headerBytes, server_.config().port,
+                                       std::move(req)));
 }
 
 void
@@ -223,16 +147,9 @@ DisaggMemoryClient::onFrame(Tick when, net::Frame &&frame)
     ENZIAN_ASSERT(it != pending_.end(),
                   "disagg response for unknown id %llu",
                   static_cast<unsigned long long>(rsp.id));
-    Pending p = std::move(it->second);
+    ScanDone done = std::move(it->second);
     pending_.erase(it);
-    if (p.scan_done) {
-        p.scan_done(when, std::move(rsp.data), frame.bytes);
-        return;
-    }
-    if (p.dst && !rsp.data.empty())
-        std::memcpy(p.dst, rsp.data.data(), rsp.data.size());
-    if (p.done)
-        p.done(when);
+    done(when, std::move(rsp.data), frame.bytes);
 }
 
 } // namespace enzian::cluster

@@ -10,12 +10,14 @@
  * buffer cache with operator off-loading and push down directly to
  * the memory."
  *
- * DisaggMemoryServer exports a region of one Enzian's FPGA DRAM over
- * 100 GbE. Besides plain READ/WRITE it supports operator pushdown:
- * SCAN_FILTER executes a predicate over fixed-size rows *at the
- * memory* in the server FPGA, returning only matching rows - the
- * whole point of the design is that selection-heavy operators move
- * less data than an RDMA read of the table.
+ * Plain reads and writes of the exported FPGA DRAM are one-sided RDMA:
+ * a net::RdmaInitiator on the compute node against a
+ * net::RdmaTarget over net::DirectDramPath on the memory node.
+ * DisaggMemoryServer adds the one operation RDMA cannot do, operator
+ * pushdown: SCAN_FILTER executes a predicate over fixed-size rows
+ * *at the memory* in the server FPGA, returning only matching rows -
+ * the whole point of the design is that selection-heavy operators
+ * move less data than an RDMA read of the table.
  */
 
 #ifndef ENZIAN_CLUSTER_DISAGG_MEMORY_HH
@@ -60,7 +62,7 @@ struct Predicate
     bool matches(const std::uint8_t *row) const;
 };
 
-/** Network-attached FPGA memory with operator pushdown. */
+/** Operator pushdown into network-attached FPGA memory. */
 class DisaggMemoryServer : public SimObject
 {
   public:
@@ -68,8 +70,10 @@ class DisaggMemoryServer : public SimObject
     struct Config
     {
         std::uint32_t port = 0;
-        /** Region of FPGA DRAM exported (offset, bytes). */
-        Addr region_base = 0;
+        /**
+         * Bytes of FPGA DRAM exported from offset 0, the same offsets
+         * an RDMA target over DirectDramPath addresses.
+         */
         std::uint64_t region_size = 64ull << 20;
         /** Request parsing cost (ns). */
         double request_proc_ns = 250.0;
@@ -94,29 +98,24 @@ class DisaggMemoryServer : public SimObject
     const Config &config() const { return cfg_; }
 
     /**
-     * Body of a disaggregated-memory frame. A client sends a request
-     * in it, and the server sends the same record back as the
-     * response, carrying the read bytes or the matching rows.
+     * Body of a pushdown frame. A client sends a scan request in it,
+     * and the server sends the same record back as the response,
+     * carrying the matching rows.
      */
     struct WireRequest
     {
-        enum class Kind : std::uint8_t { Read, Write, ScanFilter };
-        Kind kind = Kind::Read;
         Addr off = 0;
-        std::uint64_t len = 0;       // Read/Write
-        std::uint32_t row_bytes = 0; // ScanFilter
-        std::uint64_t row_count = 0; // ScanFilter
-        Predicate pred;              // ScanFilter
+        std::uint32_t row_bytes = 0;
+        std::uint64_t row_count = 0;
+        Predicate pred;
         std::uint32_t srcPort = 0;
         /** Request id, unique per client. */
         std::uint64_t id = 0;
-        std::vector<std::uint8_t> data; // Write payload / response
+        std::vector<std::uint8_t> data; // matching rows
     };
 
   private:
     void serve(WireRequest &&req);
-    /** Send @p req back to its client at @p when. */
-    void respondAt(Tick when, WireRequest &&req, const char *what);
 
     net::Switch &sw_;
     mem::MemoryController &mem_;
@@ -126,11 +125,10 @@ class DisaggMemoryServer : public SimObject
     Counter returned_;
 };
 
-/** Client side: issue reads/writes/pushdown scans to a server. */
+/** Client side: push scans down to a server. */
 class DisaggMemoryClient : public SimObject
 {
   public:
-    using Done = std::function<void(Tick)>;
     /** Scan completion: (tick, matching rows, bytes on the wire). */
     using ScanDone = std::function<void(
         Tick, std::vector<std::uint8_t>, std::uint64_t)>;
@@ -143,14 +141,6 @@ class DisaggMemoryClient : public SimObject
                        net::Switch &sw, std::uint32_t port,
                        DisaggMemoryServer &server);
 
-    /** Read @p len bytes at server offset @p off. */
-    void read(Addr off, std::uint8_t *dst, std::uint64_t len,
-              Done done);
-
-    /** Write @p len bytes at server offset @p off. */
-    void write(Addr off, const std::uint8_t *src, std::uint64_t len,
-               Done done);
-
     /**
      * Push a filter down to the memory: scan @p row_count rows of
      * @p row_bytes starting at @p off, return only rows matching
@@ -161,22 +151,12 @@ class DisaggMemoryClient : public SimObject
                     ScanDone done);
 
   private:
-    struct Pending
-    {
-        std::uint8_t *dst = nullptr;
-        Done done;
-        ScanDone scan_done;
-    };
-
-    /** Send @p req in a frame of @p bytes; @p p completes it. */
-    void issue(DisaggMemoryServer::WireRequest req, std::uint64_t bytes,
-               Pending p);
     void onFrame(Tick when, net::Frame &&frame);
 
     net::Switch &sw_;
     std::uint32_t port_;
     DisaggMemoryServer &server_;
-    std::unordered_map<std::uint64_t, Pending> pending_;
+    std::unordered_map<std::uint64_t, ScanDone> pending_;
     std::uint64_t nextId_ = 1;
 };
 

@@ -11,35 +11,34 @@
  * space onto memory owned by machine B. A's CPU caches those lines
  * through its ordinary ECI path (the L2 really holds them in
  * MOESI states; A's FPGA home agent tracks it in its directory); when
- * a refill misses, A's FPGA fetches the line over 100 GbE from B's
- * bridge target on B's FPGA, which reads or writes it through B's
- * FPGA remote agent: an uncached coherent access over B's own ECI, so
- * a line dirty in B's L2 is snooped by B's CPU home agent and
- * forwarded across the wire. Both ends of the bridge run in their
- * machine's FPGA timing domain.
+ * a refill misses, A's FPGA fetches the line with a one-sided RDMA
+ * read over 100 GbE from B's bridge target on B's FPGA. The target is
+ * an RDMA target whose memory path is B's FPGA remote agent: an
+ * uncached coherent access over B's own ECI (net::EciHostPath), so a
+ * line dirty in B's L2 is snooped by B's CPU home agent and forwarded
+ * across the wire. Both ends of the bridge run in their machine's
+ * FPGA timing domain, and the bridge gets RDMA's loss recovery by
+ * arming it on the source's initiator.
  *
- * Writebacks travel the same path and are non-posted (the ECI ack
- * carries the remote durability point), so read-after-write across
- * the bridge is safe. The model assumes a single importing machine
- * per window (B does not invalidate A's cached copies when B itself
- * writes; that direction is the open research question the paper
- * leaves to future work, and tests pin the documented behaviour).
+ * Writebacks travel the same path as RDMA writes and are non-posted
+ * (the write completion carries the remote durability point), so
+ * read-after-write across the bridge is safe. The model assumes a
+ * single importing machine per window (B does not invalidate A's
+ * cached copies when B itself writes; that direction is the open
+ * research question the paper leaves to future work, and tests pin
+ * the documented behaviour).
  */
 
 #ifndef ENZIAN_CLUSTER_ECI_BRIDGE_HH
 #define ENZIAN_CLUSTER_ECI_BRIDGE_HH
 
-#include <unordered_map>
-#include <vector>
-
 #include "eci/home_agent.hh"
-#include "eci/remote_agent.hh"
-#include "net/switch.hh"
+#include "net/rdma_engine.hh"
 
 namespace enzian::cluster {
 
 /** Serving side of the bridge, on the exporting machine (B). */
-class EciBridgeTarget : public SimObject
+class EciBridgeTarget
 {
   public:
     /** Target configuration. */
@@ -60,32 +59,15 @@ class EciBridgeTarget : public SimObject
     EciBridgeTarget(std::string name, EventQueue &eq, net::Switch &sw,
                     eci::RemoteAgent &agent, const Config &cfg);
 
-    std::uint64_t linesServed() const { return served_.value(); }
-
     const Config &config() const { return cfg_; }
 
-    /**
-     * Body of a bridge frame. A source sends an op to the target in
-     * it, and the target sends the same record back as the response,
-     * carrying the line for a read.
-     */
-    struct WireOp
-    {
-        bool write = false;
-        Addr line = 0; // window-relative
-        std::uint32_t srcPort = 0;
-        /** Op id, unique per source. */
-        std::uint64_t id = 0;
-        std::vector<std::uint8_t> data; // write payload / read result
-    };
+    /** The RDMA target that serves bridged lines. */
+    net::RdmaTarget &rdma() { return rdma_; }
 
   private:
-    void serve(WireOp &&wop);
-
-    net::Switch &sw_;
-    eci::RemoteAgent &agent_;
     Config cfg_;
-    Counter served_;
+    net::EciHostPath path_;
+    net::RdmaTarget rdma_;
 };
 
 /**
@@ -109,7 +91,7 @@ class EciBridgeSource : public SimObject, public eci::LineSource
      * @param fallback source for addresses outside the window
      *        (normally the machine's DRAM source)
      * @param target the exporting machine's bridge target; its port
-     *        is the destination of every bridged op
+     *        is the destination of every bridged line
      */
     EciBridgeSource(std::string name, EventQueue &eq, net::Switch &sw,
                     eci::LineSource &fallback, EciBridgeTarget &target,
@@ -124,6 +106,9 @@ class EciBridgeSource : public SimObject, public eci::LineSource
 
     std::uint64_t linesBridged() const { return bridged_.value(); }
 
+    /** The RDMA initiator that carries bridged lines. */
+    net::RdmaInitiator &rdma() { return rdma_; }
+
   private:
     bool inWindow(Addr addr) const
     {
@@ -131,23 +116,9 @@ class EciBridgeSource : public SimObject, public eci::LineSource
                addr < cfg_.window_base + cfg_.window_size;
     }
 
-    struct Pending
-    {
-        std::uint8_t *out = nullptr;
-        Done done;
-    };
-
-    /** Send @p op to the target at @p when; @p p completes it. */
-    void issue(Tick when, EciBridgeTarget::WireOp op, Pending p,
-               const char *what);
-    void onFrame(Tick when, net::Frame &&frame);
-
-    net::Switch &sw_;
     eci::LineSource &fallback_;
-    EciBridgeTarget &target_;
     Config cfg_;
-    std::unordered_map<std::uint64_t, Pending> pending_;
-    std::uint64_t nextId_ = 1;
+    net::RdmaInitiator rdma_;
     Counter bridged_;
 };
 

@@ -316,7 +316,6 @@ class EciFabric : public SimObject
     /** Send through the link selected by the policy. */
     Tick send(const EciMsg &msg);
 
-    void setPolicy(BalancePolicy p) { policy_ = p; }
     BalancePolicy policy() const { return policy_; }
 
     std::uint32_t linkCount() const

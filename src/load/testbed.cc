@@ -112,7 +112,6 @@ ServingTestbed::ServingTestbed(const TestbedConfig &cfg_in) : cfg_(cfg_in)
         }
         net::RdmaTarget::Config tc;
         tc.port = 0;
-        tc.mtu = swc.port.mtu;
         rdmaTgt_ = std::make_unique<net::RdmaTarget>(
             "serving.rdma.tgt", eq, *sw_, *rdmaPath_, tc);
         rdmaIni_ = std::make_unique<net::RdmaInitiator>(

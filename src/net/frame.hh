@@ -2,9 +2,10 @@
  * @file
  * A frame on the simulated Ethernet and the typed record it carries.
  *
- * Every service on the FPGA network (TCP, RDMA, the accelerator KV
- * store, the coherence bridge, disaggregated memory) moves its
- * request/response record inside the frame that times it: the link,
+ * Every service on the FPGA network (TCP, RDMA with the coherence
+ * bridge on top of it, the accelerator KV store, disaggregated
+ * memory's pushdown) moves its request/response record inside the
+ * frame that times it: the link,
  * the switch and the cross-domain channel carry the record with the
  * bytes, so it arrives exactly when (and in whichever domain) the
  * frame does and dies with the frame. Nothing travels on the side.

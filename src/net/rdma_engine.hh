@@ -135,8 +135,6 @@ class RdmaTarget : public SimObject
         std::uint32_t port = 0;
         /** Request parsing/dispatch cost (ns). */
         double request_proc_ns = 300.0;
-        /** Network MTU used for response segmentation (bytes). */
-        std::uint32_t mtu = 4096;
     };
 
     RdmaTarget(std::string name, EventQueue &eq, Switch &sw,

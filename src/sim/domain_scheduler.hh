@@ -112,9 +112,6 @@ class TimingDomain
             promise_ = until;
     }
 
-    /** Current no-sends-before promise (0 = no promise). */
-    Tick sendPromise() const { return promise_; }
-
   private:
     friend class DomainScheduler;
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for multi-board clustering: the rack's timing domains,
- * disaggregated memory with operator pushdown, and the cross-machine
- * coherence bridge. Every service runs on its node's FPGA domain.
+ * disaggregated memory (RDMA reads and writes plus operator
+ * pushdown), and the cross-machine coherence bridge. Every service
+ * runs on its node's FPGA domain.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "cluster/disagg_memory.hh"
 #include "cluster/eci_bridge.hh"
 #include "cluster/enzian_cluster.hh"
+#include "net/rdma_engine.hh"
 #include "sim/domain_scheduler.hh"
 
 namespace enzian::cluster {
@@ -79,11 +81,26 @@ class DisaggTest : public ::testing::Test
         client = std::make_unique<DisaggMemoryClient>(
             "client", cluster->node(1).fpgaEventq(), cluster->network(),
             cluster->portOf(1), *server);
+        // Plain reads and writes are RDMA into the same FPGA DRAM.
+        dram = std::make_unique<net::DirectDramPath>(
+            cluster->node(0).fpgaMem());
+        net::RdmaTarget::Config tcfg;
+        tcfg.port = cluster->portOf(0, 1);
+        tcfg.request_proc_ns = scfg.request_proc_ns;
+        target = std::make_unique<net::RdmaTarget>(
+            "server.rdma", cluster->node(0).fpgaEventq(),
+            cluster->network(), *dram, tcfg);
+        rdma = std::make_unique<net::RdmaInitiator>(
+            "client.rdma", cluster->node(1).fpgaEventq(),
+            cluster->network(), cluster->portOf(1, 1), tcfg.port);
     }
 
     std::unique_ptr<EnzianCluster> cluster;
     std::unique_ptr<DisaggMemoryServer> server;
     std::unique_ptr<DisaggMemoryClient> client;
+    std::unique_ptr<net::DirectDramPath> dram;
+    std::unique_ptr<net::RdmaTarget> target;
+    std::unique_ptr<net::RdmaInitiator> rdma;
 };
 
 TEST_F(DisaggTest, RemoteReadWriteRoundTrip)
@@ -92,15 +109,15 @@ TEST_F(DisaggTest, RemoteReadWriteRoundTrip)
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<std::uint8_t>(i * 7);
     bool wrote = false;
-    client->write(0x4000, data.data(), data.size(),
-                  [&](Tick) { wrote = true; });
+    rdma->write(0x4000, data.data(), data.size(),
+                [&](Tick) { wrote = true; });
     cluster->run();
     ASSERT_TRUE(wrote);
 
     std::vector<std::uint8_t> back(data.size());
     bool read_done = false;
-    client->read(0x4000, back.data(), back.size(),
-                 [&](Tick) { read_done = true; });
+    rdma->read(0x4000, back.data(), back.size(),
+               [&](Tick) { read_done = true; });
     cluster->run();
     ASSERT_TRUE(read_done);
     EXPECT_EQ(back, data);
@@ -116,11 +133,8 @@ TEST_F(DisaggTest, PushdownFilterReturnsOnlyMatches)
         const std::uint64_t v = k * 3;
         std::memcpy(&table[k * row + 8], &v, 8);
     }
-    bool loaded = false;
-    client->write(0, table.data(), table.size(),
-                  [&](Tick) { loaded = true; });
-    cluster->run();
-    ASSERT_TRUE(loaded);
+    cluster->node(0).fpgaMem().store().write(0, table.data(),
+                                             table.size());
 
     Predicate pred;
     pred.column_offset = 0;

@@ -5,7 +5,8 @@
  * replicated KV store (read-your-writes, nearest-replica reads,
  * recovery under RDMA request drops), and regressions for the
  * cluster-layer bug purge (two servers in one process, frames for
- * unknown switch ports, out-of-bounds pushdown predicates).
+ * unknown switch ports, out-of-bounds pushdown predicates, bridged
+ * lines under RDMA loss).
  */
 
 #include <gtest/gtest.h>
@@ -573,7 +574,8 @@ TEST(ReplicatedKv, PcieHostPlacementIsThreadCountInvariant)
 TEST(ClusterRegression, TwoDisaggServersInOneProcess)
 {
     // Two servers in one process, written at the same offsets, keep
-    // their data apart.
+    // their data apart: RDMA reads and pushdown scans both see only
+    // their own node's FPGA DRAM.
     for (const std::uint32_t threads : {1u, 4u}) {
         SCOPED_TRACE(threads);
         EnzianCluster::Config cfg;
@@ -596,28 +598,64 @@ TEST(ClusterRegression, TwoDisaggServersInOneProcess)
         DisaggMemoryClient cliB("cliB", rack.node(3).fpgaEventq(),
                                 rack.network(), rack.portOf(3), srvB);
 
+        // Plain reads and writes: RDMA on each node's second port.
+        net::DirectDramPath dramA(rack.node(0).fpgaMem());
+        net::DirectDramPath dramB(rack.node(1).fpgaMem());
+        net::RdmaTarget::Config ta;
+        ta.port = rack.portOf(0, 1);
+        ta.request_proc_ns = sa.request_proc_ns;
+        net::RdmaTarget tgtA("srvA.rdma", rack.node(0).fpgaEventq(),
+                             rack.network(), dramA, ta);
+        net::RdmaTarget::Config tb;
+        tb.port = rack.portOf(1, 1);
+        tb.request_proc_ns = sb.request_proc_ns;
+        net::RdmaTarget tgtB("srvB.rdma", rack.node(1).fpgaEventq(),
+                             rack.network(), dramB, tb);
+        net::RdmaInitiator rdmaA("cliA.rdma", rack.node(2).fpgaEventq(),
+                                 rack.network(), rack.portOf(2, 1),
+                                 ta.port);
+        net::RdmaInitiator rdmaB("cliB.rdma", rack.node(3).fpgaEventq(),
+                                 rack.network(), rack.portOf(3, 1),
+                                 tb.port);
+
         // Interleaved writes to the SAME offsets with different
         // payloads. Each client completes in its own node's domain, so
         // each gets its own flag.
         std::vector<std::uint8_t> da(4096, 0xaa), db(4096, 0xbb);
         bool wroteA = false, wroteB = false;
-        cliA.write(0x1000, da.data(), da.size(),
-                   [&](Tick) { wroteA = true; });
-        cliB.write(0x1000, db.data(), db.size(),
-                   [&](Tick) { wroteB = true; });
+        rdmaA.write(0x1000, da.data(), da.size(),
+                    [&](Tick) { wroteA = true; });
+        rdmaB.write(0x1000, db.data(), db.size(),
+                    [&](Tick) { wroteB = true; });
         rack.run();
         ASSERT_TRUE(wroteA && wroteB);
 
         std::vector<std::uint8_t> ra(4096), rb(4096);
         bool readA = false, readB = false;
-        cliA.read(0x1000, ra.data(), ra.size(),
-                  [&](Tick) { readA = true; });
-        cliB.read(0x1000, rb.data(), rb.size(),
-                  [&](Tick) { readB = true; });
+        rdmaA.read(0x1000, ra.data(), ra.size(),
+                   [&](Tick) { readA = true; });
+        rdmaB.read(0x1000, rb.data(), rb.size(),
+                   [&](Tick) { readB = true; });
         rack.run();
         ASSERT_TRUE(readA && readB);
         EXPECT_EQ(ra, da);
         EXPECT_EQ(rb, db);
+
+        // Each server's scan matches every row of its own payload.
+        std::vector<std::uint8_t> ma, mb;
+        auto scan = [](DisaggMemoryClient &cli, std::uint8_t fill,
+                       std::vector<std::uint8_t> &out) {
+            Predicate p;
+            std::memset(&p.operand, fill, sizeof(p.operand));
+            cli.scanFilter(0x1000, 16, 4096 / 16, p,
+                           [&out](Tick, std::vector<std::uint8_t> m,
+                                  std::uint64_t) { out = std::move(m); });
+        };
+        scan(cliA, 0xaa, ma);
+        scan(cliB, 0xbb, mb);
+        rack.run();
+        EXPECT_EQ(ma, da);
+        EXPECT_EQ(mb, db);
     }
 }
 
@@ -679,6 +717,93 @@ TEST(ClusterRegression, TwoCoherenceBridgesInOneProcess)
         EXPECT_EQ(srcOnA.linesBridged(), 1u);
         EXPECT_EQ(srcOnB.linesBridged(), 1u);
     }
+}
+
+/** Ticks, lines and registry of bridged traffic over a lossy RDMA. */
+RackRun
+lossyBridgeWorkload(std::uint32_t threads)
+{
+    constexpr std::uint32_t kLines = 8;
+    EnzianCluster::Config cfg;
+    cfg.nodes = 2;
+    cfg.threads = threads;
+    EnzianCluster rack(cfg);
+    auto &a = rack.node(0);
+    auto &b = rack.node(1);
+    const Addr window = mem::AddressMap::fpgaDramBase + (128ull << 20);
+
+    EciBridgeTarget::Config tcfg;
+    tcfg.port = rack.portOf(1);
+    EciBridgeTarget target("lossy.target", b.fpgaEventq(), rack.network(),
+                           b.fpgaRemote(), tcfg);
+    eci::DramLineSource fallback(a.fpgaMem(), a.map());
+    EciBridgeSource::Config scfg;
+    scfg.port = rack.portOf(0);
+    scfg.window_base = window;
+    scfg.window_size = 16ull << 20;
+    EciBridgeSource source("lossy.source", a.fpgaEventq(), rack.network(),
+                           fallback, target, scfg);
+    a.fpgaHome().setLineSource(&source);
+
+    // Requests are lost on A's FPGA domain and responses on B's, each
+    // drawing from a stream only that domain touches.
+    Rng reqRng(7), rspRng(11);
+    source.rdma().enableRecovery(20.0);
+    source.rdma().setFaults(&reqRng, 0.3);
+    target.rdma().setFaults(&rspRng, 0.3);
+
+    // A reads kLines lines of B's memory, then dirties kLines more and
+    // flushes them back. Every completion runs in A's CPU domain.
+    RackRun out;
+    out.values.assign(kLines, std::vector<std::uint8_t>(cache::lineSize));
+    for (std::uint32_t i = 0; i < kLines; ++i) {
+        b.cpuMem().store().write(i * cache::lineSize, patternFor(i).data(),
+                                 cache::lineSize);
+        a.cpuRemote().readLine(window + i * cache::lineSize,
+                               out.values[i].data(),
+                               [&](Tick t) { out.ticks.push_back(t); });
+    }
+    rack.run();
+    const Addr dirty = kLines * cache::lineSize;
+    for (std::uint32_t i = 0; i < kLines; ++i)
+        a.cpuRemote().writeLine(window + dirty + i * cache::lineSize,
+                                patternFor(100 + i).data(),
+                                [&](Tick t) { out.ticks.push_back(t); });
+    rack.run();
+    a.cpuRemote().flushAll([&](Tick t) { out.ticks.push_back(t); });
+    rack.run();
+
+    for (std::uint32_t i = 0; i < kLines; ++i) {
+        std::vector<std::uint8_t> line(cache::lineSize);
+        b.cpuMem().store().read(dirty + i * cache::lineSize, line.data(),
+                                line.size());
+        out.values.push_back(std::move(line));
+    }
+    // The fault streams bit and recovery ran.
+    EXPECT_GT(source.rdma().requestsDropped(), 0u);
+    EXPECT_GT(target.rdma().responsesDropped(), 0u);
+    EXPECT_GT(source.rdma().retriesSent(), 0u);
+    EXPECT_EQ(source.linesBridged(), 3u * kLines);
+    out.registryJson = registryJson();
+    return out;
+}
+
+TEST(ClusterRegression, BridgedTrafficSurvivesRdmaLoss)
+{
+    // The bridge rides RDMA, so RDMA's timeout recovery carries
+    // bridged refills and writebacks through request and response
+    // loss, with the same simulation at any thread count.
+    const auto t1 = lossyBridgeWorkload(1);
+    const auto t4 = lossyBridgeWorkload(4);
+    ASSERT_EQ(t1.ticks.size(), 8u + 8u + 1u);
+    ASSERT_EQ(t1.values.size(), 16u);
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(t1.values[i], patternFor(i)) << i;
+        EXPECT_EQ(t1.values[8 + i], patternFor(100 + i)) << i;
+    }
+    EXPECT_EQ(t1.ticks, t4.ticks);
+    EXPECT_EQ(t1.values, t4.values);
+    EXPECT_EQ(t1.registryJson, t4.registryJson);
 }
 
 TEST(ClusterRegressionDeath, FrameForUnknownPortIsFatal)
