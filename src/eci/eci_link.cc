@@ -367,13 +367,6 @@ EciFabric::setReceiver(mem::NodeId node, EciLink::Handler h)
 }
 
 void
-EciFabric::setTap(EciLink::Tap tap)
-{
-    for (auto &l : links_)
-        l->setTap(tap);
-}
-
-void
 EciFabric::addTap(EciLink::Tap tap)
 {
     for (auto &l : links_)

@@ -100,18 +100,6 @@ class EciLink : public SimObject
     void setReceiver(mem::NodeId node, Handler h);
 
     /**
-     * Install a trace tap, replacing any existing taps (pass nullptr
-     * to remove all). Prefer addTap() — observers that setTap()
-     * silently disconnect each other.
-     */
-    void setTap(Tap tap)
-    {
-        taps_.clear();
-        if (tap)
-            taps_.push_back(std::move(tap));
-    }
-
-    /**
      * Append a trace tap, keeping any already installed. Taps fire in
      * attach order for every observed message, so e.g. an
      * InvariantMonitor and a pcap trace can watch the same fabric.
@@ -298,9 +286,6 @@ class EciFabric : public SimObject
 
     /** Register receiver on all links. */
     void setReceiver(mem::NodeId node, EciLink::Handler h);
-
-    /** Install a trace tap on all links, replacing existing taps. */
-    void setTap(EciLink::Tap tap);
 
     /** Append a trace tap on all links (chains with existing taps). */
     void addTap(EciLink::Tap tap);

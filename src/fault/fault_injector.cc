@@ -180,9 +180,9 @@ FaultInjector::attachNet(net::TcpStack &a, net::TcpStack &b)
     tcp_[1] = &b;
     if (plan_.hasKind(FaultKind::NetLoss) ||
         plan_.hasKind(FaultKind::NetReorder)) {
-        // The sequenced wire format must be on before any flow opens.
-        a.enableReliable(netRtoUs);
-        b.enableReliable(netRtoUs);
+        // Recovery must be on before any flow opens.
+        a.enableRecovery(netRtoUs);
+        b.enableRecovery(netRtoUs);
     }
 }
 

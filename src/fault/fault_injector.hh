@@ -16,9 +16,9 @@
  *    stream is untouched (golden-file tests enforce this).
  *
  * The injector also flips on the recovery machinery the faults
- * require (ECI same-tid retry + reply cache, TCP sequenced mode, RDMA
- * fresh-id retry), since injecting loss without recovery would simply
- * hang the run.
+ * require (ECI same-tid retry + reply cache, TCP go-back-N
+ * retransmission, RDMA fresh-id retry), since injecting loss without
+ * recovery would simply hang the run.
  */
 
 #ifndef ENZIAN_FAULT_FAULT_INJECTOR_HH
@@ -64,9 +64,9 @@ class FaultInjector : public SimObject
                     mem::DramSystem &fpga_dram);
 
     /**
-     * Attach a TCP stack pair for loss/reorder injection. Switches
-     * both stacks to the reliable wire format when the plan contains
-     * a net fault kind, so call before connect().
+     * Attach a TCP stack pair for loss/reorder injection. Turns on
+     * both stacks' retransmission (enableRecovery()) when the plan
+     * contains a net fault kind, so call before connect().
      */
     void attachNet(net::TcpStack &a, net::TcpStack &b);
 

@@ -90,7 +90,7 @@ class TcpEchoServiceDriver final : public ServiceDriver
      * Connects @p flows flows from @p client to @p server and
      * installs both receive callbacks — so neither stack may have its
      * receive callback in use elsewhere, and fault plans must attach
-     * (reliable mode) before construction.
+     * (turning on recovery) before construction.
      */
     TcpEchoServiceDriver(net::TcpStack &client, net::TcpStack &server,
                          std::uint32_t flows, std::uint64_t bytes);

@@ -62,8 +62,8 @@ ServingTestbed::ServingTestbed(const TestbedConfig &cfg_in) : cfg_(cfg_in)
     m_ = std::make_unique<platform::EnzianMachine>(mc);
     EventQueue &eq = m_->eventq();
 
-    // The injector must exist before the service connects: reliable
-    // TCP mode and RDMA retry are switched on at attach time.
+    // The injector must exist before the service connects: TCP and
+    // RDMA recovery are switched on at attach time.
     if (cfg_.plan) {
         injector_ = std::make_unique<fault::FaultInjector>(
             "serving.fault", eq, *cfg_.plan);

@@ -42,20 +42,20 @@ TcpStack::TcpStack(std::string name, EventQueue &eq, Switch &sw,
 }
 
 void
-TcpStack::enableReliable(double rto_us)
+TcpStack::enableRecovery(double rto_us)
 {
     ENZIAN_ASSERT(flows_.empty(),
-                  "enableReliable after flows were opened");
-    reliable_ = true;
+                  "enableRecovery after flows were opened");
     rto_ = units::us(rto_us);
+    ENZIAN_ASSERT(rto_ > 0, "zero retransmission timeout");
 }
 
 void
 TcpStack::setLossFaults(Rng *rng, double drop_prob,
                         double reorder_prob, double reorder_delay_us)
 {
-    ENZIAN_ASSERT(reliable_ || !rng || drop_prob == 0.0,
-                  "loss faults on the lossless wire format would hang");
+    ENZIAN_ASSERT(rto_ > 0 || !rng || drop_prob == 0.0,
+                  "loss faults without recovery would hang");
     faultRng_ = rng;
     dropProb_ = drop_prob;
     reorderProb_ = reorder_prob;
@@ -75,15 +75,13 @@ TcpStack::connect(TcpStack &remote)
     theirs.pumpEv.init(remote.eventq(),
                        [rs = &remote, id]() { rs->pump(id); },
                        "tcp-pump");
-    if (reliable_) {
-        ENZIAN_ASSERT(remote.reliable_,
-                      "reliable flow against a plain-format peer");
+    if (rto_ > 0)
         mine.rtoEv.init(eventq(), [this, id]() { onRto(id); },
                         "tcp-rto");
+    if (remote.rto_ > 0)
         theirs.rtoEv.init(remote.eventq(),
                           [rs = &remote, id]() { rs->onRto(id); },
                           "tcp-rto");
-    }
     return id;
 }
 
@@ -137,7 +135,7 @@ TcpStack::pump(std::uint32_t flow_id)
         SendJob &job = f.jobs.front();
         if (job.remaining == 0)
             break; // waiting for acks only
-        if (f.inflight >= cfg_.window_bytes)
+        if (f.txNext - f.ackedTo >= cfg_.window_bytes)
             return; // ack-clocked; pump resumes in onAck
 
         Tick &free_ref = cfg_.shared_pipeline ? pipeFreeAt_ : f.txFreeAt;
@@ -151,18 +149,14 @@ TcpStack::pump(std::uint32_t flow_id)
         free_ref = now() + txCost(seg);
         job.remaining -= seg;
         job.unacked += seg;
-        f.inflight += seg;
         segsTx_.inc();
         bytesTx_.inc(seg);
-        if (reliable_) {
-            const std::uint64_t seq = f.txNext;
-            f.txNext += seg;
+        const std::uint64_t seq = f.txNext;
+        f.txNext += seg;
+        xmitData(flow_id, f, seq, seg);
+        if (rto_ > 0) {
             f.sendQ.emplace_back(seq, seg);
-            xmitData(flow_id, f, seq, seg);
             armRto(flow_id);
-        } else {
-            sendSeg(f.remotePort, seg + tcpHeaderBytes,
-                    TcpSeg{kindData, flow_id, 0, seg});
         }
     }
 }
@@ -183,7 +177,7 @@ TcpStack::xmitData(std::uint32_t flow_id, Flow &f, std::uint64_t seq,
         segsDropped_.inc();
         return;
     }
-    const TcpSeg seg{kindDataSeq, flow_id, seq, len};
+    const TcpSeg seg{kindData, flow_id, seq, len};
     const std::uint32_t dst = f.remotePort;
     if (faultRng_ && reorderProb_ > 0.0 &&
         faultRng_->chance(reorderProb_)) {
@@ -208,7 +202,7 @@ TcpStack::sendCumAck(std::uint32_t flow_id, Flow &f)
         return;
     }
     sendSeg(f.remotePort, tcpHeaderBytes,
-            TcpSeg{kindAckSeq, flow_id, f.rxExpected, 0});
+            TcpSeg{kindAck, flow_id, f.rxExpected, 0});
 }
 
 void
@@ -250,24 +244,18 @@ TcpStack::onFrame(Frame &&frame)
     const TcpSeg &seg = frame.body.get<TcpSeg>();
     switch (seg.kind) {
       case kindData:
-        onData(seg.flow, seg.len);
+        onData(seg.flow, seg.seq, seg.len);
         return;
       case kindAck:
-        onAck(seg.flow, seg.len);
-        return;
-      case kindDataSeq:
-        onDataSeq(seg.flow, seg.seq, seg.len);
-        return;
-      case kindAckSeq:
-        onAckSeq(seg.flow, seg.seq);
+        onAck(seg.flow, seg.seq);
         return;
     }
     panic("TCP frame with bad kind %u", seg.kind);
 }
 
 void
-TcpStack::onDataSeq(std::uint32_t flow_id, std::uint64_t seq,
-                    std::uint64_t len)
+TcpStack::onData(std::uint32_t flow_id, std::uint64_t seq,
+                 std::uint64_t len)
 {
     ENZIAN_ASSERT(flows_.count(flow_id), "data for unknown flow %u",
                   flow_id);
@@ -297,21 +285,21 @@ TcpStack::onDataSeq(std::uint32_t flow_id, std::uint64_t seq,
                     it = fl.ooo.erase(it);
                 }
             }
+            // Every arrival provokes a cumulative ack, sent before
+            // the bytes go to the app; duplicates let a recovering
+            // sender notice loss sooner and survive lost acks.
+            sendCumAck(flow_id, fl);
             const std::uint64_t delivered = fl.rxExpected - before;
             if (delivered > 0) {
-                fl.received += delivered;
                 bytesRx_.inc(delivered);
                 deliverToApp(flow_id, delivered);
             }
-            // Every arrival provokes a cumulative ack; duplicates let
-            // the sender notice loss sooner and survive lost acks.
-            sendCumAck(flow_id, fl);
         },
-        "tcp-rx-seq");
+        "tcp-rx");
 }
 
 void
-TcpStack::onAckSeq(std::uint32_t flow_id, std::uint64_t cum)
+TcpStack::onAck(std::uint32_t flow_id, std::uint64_t cum)
 {
     auto it = flows_.find(flow_id);
     ENZIAN_ASSERT(it != flows_.end(), "ack for unknown flow %u",
@@ -321,19 +309,20 @@ TcpStack::onAckSeq(std::uint32_t flow_id, std::uint64_t cum)
         dupAcks_.inc();
         return;
     }
+    ENZIAN_ASSERT(cum <= f.txNext, "ack of %llu exceeds bytes sent",
+                  static_cast<unsigned long long>(cum));
     const std::uint64_t newly = cum - f.ackedTo;
     f.ackedTo = cum;
-    f.rtoBackoff = 0;
-    while (!f.sendQ.empty() &&
-           f.sendQ.front().first + f.sendQ.front().second <= cum) {
-        f.sendQ.pop_front();
+    if (rto_ > 0) {
+        f.rtoBackoff = 0;
+        while (!f.sendQ.empty() &&
+               f.sendQ.front().first + f.sendQ.front().second <= cum) {
+            f.sendQ.pop_front();
+        }
+        f.rtoEv.cancel();
+        armRto(flow_id);
     }
-    f.rtoEv.cancel();
-    armRto(flow_id);
-    // Each byte is counted into inflight exactly once (first
-    // transmission) and acked exactly once (cumulative point is
-    // monotone), so the plain-format accounting applies unchanged.
-    onAck(flow_id, newly);
+    creditAck(flow_id, f, newly);
 }
 
 void
@@ -347,39 +336,9 @@ TcpStack::deliverToApp(std::uint32_t flow_id, std::uint64_t bytes)
 }
 
 void
-TcpStack::onData(std::uint32_t flow_id, std::uint64_t len)
+TcpStack::creditAck(std::uint32_t flow_id, Flow &f, std::uint64_t bytes)
 {
-    ENZIAN_ASSERT(flows_.count(flow_id), "data for unknown flow %u",
-                  flow_id);
-    segsRx_.inc();
-    bytesRx_.inc(len);
-
-    // Receive-side processing, then ack and deliver to the app.
-    const Tick done_rx = now() + rxCost(len);
-    eventq().schedule(
-        done_rx,
-        [this, flow_id, len]() {
-            Flow &fl = flows_.at(flow_id);
-            fl.received += len;
-            sendSeg(fl.remotePort, tcpHeaderBytes,
-                    TcpSeg{kindAck, flow_id, 0, len});
-            deliverToApp(flow_id, len);
-        },
-        "tcp-rx");
-}
-
-void
-TcpStack::onAck(std::uint32_t flow_id, std::uint64_t len)
-{
-    auto it = flows_.find(flow_id);
-    ENZIAN_ASSERT(it != flows_.end(), "ack for unknown flow %u",
-                  flow_id);
-    Flow &f = it->second;
-    ENZIAN_ASSERT(f.inflight >= len, "ack of %llu exceeds inflight",
-                  static_cast<unsigned long long>(len));
-    f.inflight -= len;
-
-    std::uint64_t credit = len;
+    std::uint64_t credit = bytes;
     while (credit > 0 && !f.jobs.empty()) {
         SendJob &job = f.jobs.front();
         const std::uint64_t take = std::min(credit, job.unacked);
@@ -404,7 +363,7 @@ std::uint64_t
 TcpStack::bytesReceived(std::uint32_t flow_id) const
 {
     auto it = flows_.find(flow_id);
-    return it == flows_.end() ? 0 : it->second.received;
+    return it == flows_.end() ? 0 : it->second.rxExpected;
 }
 
 TcpStack::Config

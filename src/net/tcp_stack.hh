@@ -16,9 +16,13 @@
  *    CPU costs cap a single flow well below line rate, so multiple
  *    flows (4 in the paper) are needed to saturate the link.
  *
- * The stream is functional (byte counts delivered in order and
- * acknowledged cumulatively) over the switch/link substrate; there is
- * no loss in the modeled fabric so no retransmission machinery.
+ * Both run one wire format: every data segment carries the sequence
+ * number of its first byte, every ack is cumulative, and the receiver
+ * reassembles in order, so the application sees a byte stream even
+ * when a short segment finishes receive processing before the long
+ * one ahead of it. The modeled fabric is lossless; retransmission is
+ * the one opt-in (enableRecovery()), for fault runs that drop
+ * segments.
  */
 
 #ifndef ENZIAN_NET_TCP_STACK_HH
@@ -76,20 +80,21 @@ class TcpStack : public SimObject
     void setReceiveCallback(ReceiveCb cb) { receiveCb_ = std::move(cb); }
 
     /**
-     * Switch this stack to the sequenced/reliable wire format:
-     * segments carry sequence numbers, the receiver acks cumulatively
-     * and holds out-of-order arrivals, and a per-flow retransmission
-     * timer with exponential backoff recovers lost segments. Must be
-     * called before connect(), and on BOTH ends of every flow. The
-     * default (lossless-fabric) format is untouched when this is off.
+     * Arm loss recovery for this stack's own sends: unacked segments
+     * stay on a per-flow send queue, and a retransmission timer
+     * (initially @p rto_us, with exponential backoff) resends the
+     * oldest one go-back-N. The wire format does not change, so the
+     * peer needs no matching call. Must be called before connect().
      */
-    void enableReliable(double rto_us = 150.0);
+    void enableRecovery(double rto_us = 150.0);
 
     /**
      * Inject loss/reorder faults on this stack's transmit side,
-     * drawing from @p rng (nullptr disarms). Requires the reliable
-     * mode when @p drop_prob > 0 — the plain format has no
-     * retransmission and would hang.
+     * drawing from @p rng (nullptr disarms). @p drop_prob > 0
+     * requires enableRecovery() on this stack, and on every peer that
+     * sends to it: a dropped cumulative ack is repaired only by the
+     * data sender's retransmission. Reordering alone needs no
+     * recovery; the receiver reassembles in order.
      *
      * @param reorder_delay_us extra delay a reordered segment incurs
      */
@@ -143,33 +148,29 @@ class TcpStack : public SimObject
     struct Flow
     {
         std::uint32_t remotePort = 0;
-        std::uint64_t inflight = 0; // bytes sent, not yet acked
         std::deque<SendJob> jobs;
-        std::uint64_t received = 0;
         Tick txFreeAt = 0; // per-flow pipeline availability
         /** Reusable pump event; re-armed whenever the pipeline or
          *  window forces the flow to wait. */
         Event pumpEv;
-
-        // -- reliable-mode state (unused in the default format) ----
-        std::uint64_t txNext = 0;  // next byte sequence to send
+        /** Next byte to send; txNext - ackedTo bytes are in flight. */
+        std::uint64_t txNext = 0;
         std::uint64_t ackedTo = 0; // cumulative ack received
+        std::uint64_t rxExpected = 0; // next in-order byte expected
+        /** Out-of-order arrivals held for reassembly: seq -> len. */
+        std::map<std::uint64_t, std::uint64_t> ooo;
+
+        // -- recovery state (unused unless enableRecovery() ran) ----
         /** Unacked segments (seq, len), oldest first. */
         std::deque<std::pair<std::uint64_t, std::uint64_t>> sendQ;
         std::uint32_t rtoBackoff = 0;
         Event rtoEv;
-        std::uint64_t rxExpected = 0; // next in-order byte expected
-        /** Out-of-order arrivals held for reassembly: seq -> len. */
-        std::map<std::uint64_t, std::uint64_t> ooo;
     };
 
     /** Message kinds on the wire. */
     enum : std::uint8_t {
         kindData = 1,
         kindAck = 2,
-        /** Sequenced variants (reliable mode). */
-        kindDataSeq = 3,
-        kindAckSeq = 4,
     };
 
     /** The body of every TCP frame. */
@@ -177,9 +178,9 @@ class TcpStack : public SimObject
     {
         std::uint8_t kind = kindData;
         std::uint32_t flow = 0;
-        /** Sequenced kinds: first byte (data) or cumulative ack. */
+        /** First byte of a data segment, or an ack's cumulative point. */
         std::uint64_t seq = 0;
-        /** Data length, or bytes acked by a plain ack. */
+        /** Data length; 0 for an ack. */
         std::uint64_t len = 0;
     };
 
@@ -198,19 +199,19 @@ class TcpStack : public SimObject
     void pump(std::uint32_t flow_id);
     void schedulePump(std::uint32_t flow_id, Tick when);
     void onFrame(Frame &&frame);
-    void onData(std::uint32_t flow_id, std::uint64_t len);
-    void onAck(std::uint32_t flow_id, std::uint64_t len);
-
-    // -- reliable-mode machinery ----------------------------------
-    /** Transmit (or fault-drop/reorder) one sequenced segment. */
+    void onData(std::uint32_t flow_id, std::uint64_t seq,
+                std::uint64_t len);
+    void onAck(std::uint32_t flow_id, std::uint64_t cum);
+    /** Credit @p bytes newly acked to @p f's send jobs, in order. */
+    void creditAck(std::uint32_t flow_id, Flow &f, std::uint64_t bytes);
+    /** Transmit (or fault-drop/reorder) one data segment. */
     void xmitData(std::uint32_t flow_id, Flow &f, std::uint64_t seq,
                   std::uint64_t len);
     void sendCumAck(std::uint32_t flow_id, Flow &f);
+
+    // -- recovery (enableRecovery()) ------------------------------
     void armRto(std::uint32_t flow_id);
     void onRto(std::uint32_t flow_id);
-    void onDataSeq(std::uint32_t flow_id, std::uint64_t seq,
-                   std::uint64_t len);
-    void onAckSeq(std::uint32_t flow_id, std::uint64_t cum);
 
     Tick txCost(std::uint64_t payload) const;
     Tick rxCost(std::uint64_t payload) const;
@@ -228,8 +229,7 @@ class TcpStack : public SimObject
     std::uint32_t nextFlow_;
     /** Shared-pipeline availability (FPGA stack). */
     Tick pipeFreeAt_ = 0;
-    /** Reliable mode (sequence numbers + RTO); off by default. */
-    bool reliable_ = false;
+    /** Initial retransmission timeout; 0 = recovery off. */
     Tick rto_ = 0;
     /** Fault injection stream; nullptr = no faults. */
     Rng *faultRng_ = nullptr;

@@ -265,10 +265,9 @@ DomainScheduler::executeEpoch(Tick end)
 {
     epochEnd_ = end;
     if (workers_.empty()) {
-        // Sequential mode (threads == 1): identical epoch semantics,
-        // domains run in id order on the caller.
-        for (auto &d : domains_)
-            d->epochExecuted_ = d->eq_.runUntil(end);
+        // Sequential mode: the caller is the only participant, so it
+        // owns every domain and runs them in id order.
+        runOwnedDomains(0);
         return;
     }
     doneCount_.store(0, std::memory_order_relaxed);

@@ -275,15 +275,16 @@ wireServicesWorkload(std::uint32_t threads)
     };
     WireServicesRun out;
 
-    // TCP: node 0 -> node 1 and node 2 -> node 3, on link 0, in the
-    // sequenced format, whose data and ack frames all carry a record.
+    // TCP: node 0 -> node 1 and node 2 -> node 3, on link 0, with
+    // recovery on, so each stack also arms its RTO timers on its own
+    // node's domain.
     constexpr std::uint64_t kTcpBytes = 200 * 1024;
     std::vector<std::unique_ptr<net::TcpStack>> tcp;
     for (std::uint32_t n = 0; n < 4; ++n) {
         tcp.push_back(std::make_unique<net::TcpStack>(
             "wire.tcp" + std::to_string(n), fq(n), sw,
             net::fpgaTcpConfig(rack.portOf(n, 0), 250e6)));
-        tcp.back()->enableReliable();
+        tcp.back()->enableRecovery();
     }
     std::array<std::uint32_t, 2> flows{};
     for (std::uint32_t p = 0; p < 2; ++p) {

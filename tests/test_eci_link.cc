@@ -131,7 +131,7 @@ TEST(EciLink, TapObservesMessages)
     EciLink link("l", eq, platform::params::eciLinkConfig());
     link.setReceiver(mem::NodeId::Cpu, [](const EciMsg &) {});
     int taps = 0;
-    link.setTap([&](Tick, const EciMsg &) { ++taps; });
+    link.addTap([&](Tick, const EciMsg &) { ++taps; });
     link.send(dataMsg(0));
     EXPECT_EQ(taps, 1);
 }
@@ -142,8 +142,7 @@ TEST(EciLink, AddTapChainsObservers)
     EciLink link("l", eq, platform::params::eciLinkConfig());
     link.setReceiver(mem::NodeId::Cpu, [](const EciMsg &) {});
     // Two independent observers, attached in order, both see every
-    // message (regression: setTap used to be a single slot, so the
-    // second observer silently disconnected the first).
+    // message; attaching the second never disconnects the first.
     std::vector<int> order;
     link.addTap([&](Tick, const EciMsg &) { order.push_back(1); });
     link.addTap([&](Tick, const EciMsg &) { order.push_back(2); });
@@ -151,14 +150,6 @@ TEST(EciLink, AddTapChainsObservers)
     link.send(dataMsg(0));
     link.send(dataMsg(128));
     EXPECT_EQ(order, (std::vector<int>{1, 2, 1, 2}));
-
-    // setTap still replaces everything; nullptr clears.
-    link.setTap([&](Tick, const EciMsg &) { order.push_back(3); });
-    EXPECT_EQ(link.tapCount(), 1u);
-    link.send(dataMsg(256));
-    EXPECT_EQ(order.back(), 3);
-    link.setTap(nullptr);
-    EXPECT_EQ(link.tapCount(), 0u);
 }
 
 class EciLinkDeathTest : public ::testing::Test

@@ -206,7 +206,7 @@ TEST(FaultEciLink, FilterDropsAndCorruptsAreCountedNotDelivered)
     std::uint32_t tapped = 0;
     link.setReceiver(mem::NodeId::Cpu,
                      [&](const eci::EciMsg &) { ++delivered; });
-    link.setTap([&](Tick, const eci::EciMsg &) { ++tapped; });
+    link.addTap([&](Tick, const eci::EciMsg &) { ++tapped; });
     std::uint32_t n = 0;
     link.setFaultFilter([&](Tick, const eci::EciMsg &) {
         ++n;
@@ -359,8 +359,8 @@ TEST(FaultTcp, LossAndReorderRecoverEveryByte)
     net::Switch sw("sw", eq, 2, net::Switch::Config{});
     net::TcpStack a("tcp0", eq, sw, net::hostTcpConfig(0));
     net::TcpStack b("tcp1", eq, sw, net::hostTcpConfig(1));
-    a.enableReliable(150.0);
-    b.enableReliable(150.0);
+    a.enableRecovery(150.0);
+    b.enableRecovery(150.0);
     Rng rng(11);
     a.setLossFaults(&rng, 0.15, 0.1, 20.0);
     b.setLossFaults(&rng, 0.15, 0.1, 20.0);
@@ -374,6 +374,29 @@ TEST(FaultTcp, LossAndReorderRecoverEveryByte)
     EXPECT_EQ(b.bytesReceived(flow), bytes);
     // With 15% segment loss over a 256 KiB transfer, at least one
     // retransmission must have happened (deterministic under the seed).
+    EXPECT_GE(a.retransmits(), 1u);
+}
+
+// Recovery covers a stack's own sends and leaves the wire format
+// alone, so only the sender needs it.
+TEST(FaultTcp, SenderOnlyRecoveryRecoversDroppedSegments)
+{
+    EventQueue eq;
+    net::Switch sw("sw", eq, 2, net::Switch::Config{});
+    net::TcpStack a("tcp0", eq, sw, net::fpgaTcpConfig(0, 250e6));
+    net::TcpStack b("tcp1", eq, sw, net::fpgaTcpConfig(1, 250e6));
+    a.enableRecovery(150.0);
+    Rng rng(11);
+    a.setLossFaults(&rng, 0.15, 0.0);
+
+    const std::uint32_t flow = a.connect(b);
+    const std::uint64_t bytes = 256 * 1024;
+    bool done = false;
+    a.send(flow, bytes, [&done](Tick) { done = true; });
+    eq.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(b.bytesReceived(flow), bytes);
+    EXPECT_GE(a.segmentsDropped(), 1u);
     EXPECT_GE(a.retransmits(), 1u);
 }
 

@@ -205,6 +205,27 @@ TEST_F(TcpFixture, DeliversAllBytesInOrder)
     EXPECT_EQ(bob->bytesReceived(id), 1u << 20);
 }
 
+// The host stack finishes receive processing of a 64 B segment before
+// that of the 1984 B segment the FPGA stack sent ahead of it; the
+// receiver holds the short one, so the application still gets every
+// byte in order, in one delivery.
+TEST_F(TcpFixture, ReassemblesSegmentsThatFinishOutOfOrder)
+{
+    const auto id = makePair(fpgaTcpConfig(0, 250e6), hostTcpConfig(1));
+    std::vector<std::uint64_t> deliveries;
+    bob->setReceiveCallback([&](std::uint32_t, std::uint64_t bytes) {
+        deliveries.push_back(bytes);
+    });
+    bool done = false;
+    alice->send(id, 2048, [&](Tick) { done = true; });
+    eq.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(deliveries, (std::vector<std::uint64_t>{2048}));
+    EXPECT_EQ(bob->outOfOrderSegments(), 1u);
+    EXPECT_EQ(alice->duplicateAcks(), 1u);
+    EXPECT_EQ(bob->bytesReceived(id), 2048u);
+}
+
 TEST_F(TcpFixture, EmptySendCompletes)
 {
     const auto id = makePair(fpgaTcpConfig(0, 250e6),
