@@ -16,13 +16,10 @@ namespace enzian::eci {
 EciLink::EciLink(std::string name, EventQueue &eq, const Config &cfg)
     : SimObject(std::move(name), eq), cfg_(cfg)
 {
-    recomputeBandwidth();
+    setLanes(cfg_.lanes);
     for (auto &wire : wire_) {
         wire.init(
-            eq,
-            [this](Tick, EciMsg &&msg) {
-                handlers_[static_cast<std::size_t>(msg.dst)](msg);
-            },
+            eq, [this](Tick when, Flight &&f) { deliver(when, f); },
             "eci-deliver");
     }
     stats().addCounter("messages", &agg_.msgs);
@@ -32,7 +29,7 @@ EciLink::EciLink(std::string name, EventQueue &eq, const Config &cfg)
     stats().addCounter("lane_failures", &laneFails_);
     stats().addCounter("link_flaps", &flaps_);
     stats().addCounter("retrains", &retrains_);
-    stats().addCounter("credits_reconciled", &creditsReconciled_);
+    stats().addCounter("credits_reconciled", &agg_.lost);
     stats().addAccumulator("latency_ns", &agg_.latency);
     stats().addAccumulator("ser_wait_ns", &agg_.serWait);
     stats().addHistogram("latency_hist_ns", &agg_.hist);
@@ -81,9 +78,10 @@ EciLink::bindDomains(sim::DomainScheduler &sched,
 void
 EciLink::TxStats::foldInto(TxStats &agg)
 {
-    if (msgs.value() == 0) {
+    if (msgs.value() == 0 && lost.value() == 0) {
         // Every recorded send bumps msgs first (see recordTx and
-        // sendFaulted), so an idle stage has nothing to fold; most
+        // sendFaulted), and every other sample is a send's, except a
+        // flap loss; so an idle stage has nothing to fold. Most
         // stages of a rack are idle in most epochs.
         bool empty = bytes.value() == 0 && dropped.value() == 0 &&
                      corrupted.value() == 0 && latency.count() == 0 &&
@@ -97,6 +95,7 @@ EciLink::TxStats::foldInto(TxStats &agg)
     agg.bytes.inc(bytes.value());
     agg.dropped.inc(dropped.value());
     agg.corrupted.inc(corrupted.value());
+    agg.lost.inc(lost.value());
     agg.latency.merge(latency);
     agg.serWait.merge(serWait);
     agg.hist.merge(hist);
@@ -106,6 +105,7 @@ EciLink::TxStats::foldInto(TxStats &agg)
     bytes.reset();
     dropped.reset();
     corrupted.reset();
+    lost.reset();
     latency.reset();
     serWait.reset();
     hist.reset();
@@ -153,18 +153,27 @@ EciLink::flushTaps()
 }
 
 void
-EciLink::recomputeBandwidth()
+EciLink::setDirLanes(std::size_t dir, std::uint32_t lanes)
 {
-    if (cfg_.lanes == 0)
+    if (lanes == 0)
         fatal("ECI link '%s': zero lanes", name().c_str());
-    effBw_ = cfg_.lanes * (cfg_.lane_gbps * 1e9 / 8.0) * cfg_.efficiency;
+    tx_[dir].lanes = lanes;
+    tx_[dir].effBw =
+        lanes * (cfg_.lane_gbps * 1e9 / 8.0) * cfg_.efficiency;
 }
 
 void
 EciLink::setLanes(std::uint32_t lanes)
 {
-    cfg_.lanes = lanes;
-    recomputeBandwidth();
+    for (std::size_t dir = 0; dir < tx_.size(); ++dir)
+        setDirLanes(dir, lanes);
+}
+
+EventQueue &
+EciLink::sendQueue(mem::NodeId src)
+{
+    return dirBind_.bound() ? dirBind_.clock(static_cast<std::size_t>(src))
+                            : eventq();
 }
 
 void
@@ -183,7 +192,7 @@ EciLink::procLatency(mem::NodeId node) const
 Tick
 EciLink::busFreeAt(mem::NodeId src_node) const
 {
-    return busFreeAt_[static_cast<std::size_t>(src_node)].v;
+    return tx_[static_cast<std::size_t>(src_node)].busFreeAt;
 }
 
 EciLink::TxTiming
@@ -191,12 +200,12 @@ EciLink::txTiming(Tick tnow, const EciMsg &msg)
 {
     // Sender-side processing, then wait for the serializer, stream the
     // message out, cross the wire, then receiver-side processing.
-    const auto dir = static_cast<std::size_t>(msg.src);
+    DirTx &d = tx_[static_cast<std::size_t>(msg.src)];
     TxTiming t;
     t.serReady = tnow + procLatency(msg.src);
-    t.start = std::max(t.serReady, busFreeAt_[dir].v);
-    t.stream = units::transferTicks(msg.wireBytes(), effBw_);
-    busFreeAt_[dir].v = t.start + t.stream;
+    t.start = std::max(t.serReady, d.busFreeAt);
+    t.stream = units::transferTicks(msg.wireBytes(), d.effBw);
+    d.busFreeAt = t.start + t.stream;
     t.delivery = t.start + t.stream + units::ns(cfg_.wire_latency_ns) +
                  procLatency(msg.dst);
     return t;
@@ -228,7 +237,7 @@ EciLink::send(const EciMsg &msg)
     // clock, and that direction's thread is the single writer of its
     // serializer, stats stage and tap stage.
     const auto dir = static_cast<std::size_t>(msg.src);
-    const Tick tnow = dirBind_.bound() ? dirBind_.now(dir) : now();
+    const Tick tnow = sendQueue(msg.src).now();
     if (fault_) {
         const FaultAction act = fault_(tnow, msg);
         if (act != FaultAction::Deliver)
@@ -250,8 +259,29 @@ EciLink::send(const EciMsg &msg)
     ENZIAN_ASSERT(h, "no receiver registered for node %s on %s",
                   mem::toString(msg.dst), name().c_str());
 
-    wire_[dir].push(t.delivery, EciMsg(msg));
+    wire_[dir].push(t.delivery, Flight{tnow, msg});
     return t.delivery;
+}
+
+void
+EciLink::deliver(Tick when, const Flight &f)
+{
+    const auto dst = static_cast<std::size_t>(f.msg.dst);
+    if (!flapTicks_.empty()) {
+        // The first flap after the send decides: the link went down
+        // under the message iff that flap came before its arrival. The
+        // receiver counts the loss in the stage of the direction it
+        // sends on, which only its own domain touches; the credit
+        // machinery reconciles it and the agents' retry timers
+        // re-issue the requests.
+        const auto flap = std::upper_bound(flapTicks_.begin(),
+                                           flapTicks_.end(), f.sent);
+        if (flap != flapTicks_.end() && *flap <= when) {
+            txStats(dst).lost.inc();
+            return;
+        }
+    }
+    handlers_[dst](f.msg);
 }
 
 Tick
@@ -278,55 +308,73 @@ EciLink::sendFaulted(Tick tnow, const EciMsg &msg, FaultAction act)
 }
 
 void
-EciLink::failLanes(std::uint32_t n)
+EciLink::onEachDir(Tick at, const char *what,
+                   std::function<void(std::size_t)> fn)
 {
-    ENZIAN_ASSERT(!domainMode(), "lane failure on '%s' in domain mode",
-                  name().c_str());
-    laneFails_.inc();
-    const std::uint32_t survivors = cfg_.lanes > n ? cfg_.lanes - n : 1;
-    logWarn("lane failure: %u lane(s) down, retraining to %u lanes", n,
-            survivors);
-    setLanes(survivors);
-    beginRetrain(units::ns(cfg_.retrain_ns));
+    // Direction 0 first: on one queue both events run back to back.
+    for (std::size_t dir = 0; dir < tx_.size(); ++dir) {
+        sendQueue(static_cast<mem::NodeId>(dir))
+            .schedule(at, [fn, dir]() { fn(dir); }, what);
+    }
 }
 
 void
-EciLink::restoreLanes(std::uint32_t lanes)
+EciLink::failLanes(Tick at, std::uint32_t n)
 {
-    ENZIAN_ASSERT(!domainMode(), "lane restore on '%s' in domain mode",
-                  name().c_str());
-    logInfo("restoring link to %u lanes", lanes);
-    setLanes(lanes);
-    beginRetrain(units::ns(cfg_.retrain_ns));
+    onEachDir(at, "eci-lane-fail", [this, n](std::size_t dir) {
+        const std::uint32_t lanes = tx_[dir].lanes;
+        const std::uint32_t survivors = lanes > n ? lanes - n : 1;
+        if (dir == 0) {
+            laneFails_.inc();
+            logWarn("lane failure: %u lane(s) down, retraining to %u "
+                    "lanes",
+                    n, survivors);
+        }
+        setDirLanes(dir, survivors);
+        beginRetrain(dir, units::ns(cfg_.retrain_ns));
+    });
 }
 
 void
-EciLink::flap(Tick down_time)
+EciLink::restoreLanes(Tick at, std::uint32_t lanes)
 {
-    ENZIAN_ASSERT(!domainMode(), "link flap on '%s' in domain mode",
-                  name().c_str());
-    flaps_.inc();
-    // Everything in flight is lost; the credit machinery reconciles
-    // (the agents' retry timers re-issue the requests).
-    std::uint64_t lost = 0;
-    for (auto &wire : wire_)
-        lost += wire.clear();
-    creditsReconciled_.inc(lost);
-    logWarn("link flap: down %.1f us, %llu message(s) lost",
-            units::toNanos(down_time) / 1e3,
-            static_cast<unsigned long long>(lost));
-    beginRetrain(down_time + units::ns(cfg_.retrain_ns));
+    onEachDir(at, "eci-lane-restore", [this, lanes](std::size_t dir) {
+        if (dir == 0)
+            logInfo("restoring link to %u lanes", lanes);
+        setDirLanes(dir, lanes);
+        beginRetrain(dir, units::ns(cfg_.retrain_ns));
+    });
 }
 
 void
-EciLink::beginRetrain(Tick duration)
+EciLink::flap(Tick at, Tick down_time)
 {
-    retrains_.inc();
-    retrainEndsAt_ = std::max(retrainEndsAt_, now() + duration);
+    // Receivers read the flap ticks on every delivery, so they are
+    // fixed before the run; the senders only retrain.
+    flapTicks_.insert(
+        std::upper_bound(flapTicks_.begin(), flapTicks_.end(), at), at);
+    onEachDir(at, "eci-link-flap", [this, down_time](std::size_t dir) {
+        if (dir == 0) {
+            flaps_.inc();
+            logWarn("link flap: down %.1f us",
+                    units::toNanos(down_time) / 1e3);
+        }
+        beginRetrain(dir, down_time + units::ns(cfg_.retrain_ns));
+    });
+}
+
+void
+EciLink::beginRetrain(std::size_t dir, Tick duration)
+{
+    DirTx &d = tx_[dir];
+    const Tick tnow = sendQueue(static_cast<mem::NodeId>(dir)).now();
+    d.retrainEndsAt = std::max(d.retrainEndsAt, tnow + duration);
     // No traffic serializes until the lanes are aligned again.
-    for (auto &free_at : busFreeAt_)
-        free_at.v = std::max(free_at.v, retrainEndsAt_);
-    ENZIAN_SPAN(name(), "retrain", now(), retrainEndsAt_);
+    d.busFreeAt = std::max(d.busFreeAt, d.retrainEndsAt);
+    if (dir == 0) {
+        retrains_.inc();
+        ENZIAN_SPAN(name(), "retrain", tnow, d.retrainEndsAt);
+    }
 }
 
 const char *

@@ -14,6 +14,7 @@
 #ifndef ENZIAN_ECI_ECI_LINK_HH
 #define ENZIAN_ECI_ECI_LINK_HH
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -86,8 +87,6 @@ class EciLink : public SimObject
      * the scheduler's channels, and per-direction staged statistics
      * and trace taps are folded/flushed deterministically at every
      * epoch barrier. Must be called before the scheduler starts.
-     * failLanes(), restoreLanes() and flap() die in this mode: they
-     * touch both directions from one thread.
      */
     void bindDomains(sim::DomainScheduler &sched,
                      sim::TimingDomain &cpu_domain,
@@ -95,6 +94,18 @@ class EciLink : public SimObject
 
     /** True once bindDomains() has been called. */
     bool domainMode() const { return stage_.armed(); }
+
+    /** The scheduler bindDomains() joined, or null on one queue. */
+    sim::DomainScheduler *scheduler() const
+    {
+        return dirBind_.scheduler();
+    }
+
+    /**
+     * The queue the @p src node's direction sends on: its domain's in
+     * domain mode, else the link's own.
+     */
+    EventQueue &sendQueue(mem::NodeId src);
 
     /** Register the message handler for node @p node. */
     void setReceiver(mem::NodeId node, Handler h);
@@ -122,33 +133,46 @@ class EciLink : public SimObject
      */
     Tick send(const EciMsg &msg);
 
-    /** Effective per-direction bandwidth in bytes/s. */
-    double effectiveBandwidth() const { return effBw_; }
+    /** Effective CPU-to-FPGA bandwidth in bytes/s. */
+    double effectiveBandwidth() const { return tx_[0].effBw; }
 
-    /** Change the active lane count (BDK dial-up/down). */
+    /** Change the active lane count (BDK dial-up/down), before a run. */
     void setLanes(std::uint32_t lanes);
 
+    /*
+     * Physical-layer faults. Each is one event per direction at tick
+     * @p at on that direction's sendQueue(), which alone writes the
+     * direction's lanes, serializer and retrain state; so they are
+     * safe across domains. Call them before the simulation reaches
+     * @p at, and in domain mode before the scheduler starts.
+     */
+
     /**
-     * Fail @p n lanes: the link retrains, then runs derated on the
-     * surviving lanes (never below one). Bandwidth degrades
+     * Fail @p n lanes at @p at: the link retrains, then runs derated
+     * on the surviving lanes (never below one). Bandwidth degrades
      * proportionally, preserving the Fig 6 curve shape.
      */
-    void failLanes(std::uint32_t n);
+    void failLanes(Tick at, std::uint32_t n);
 
-    /** Bring the link back to @p lanes lanes (retrains first). */
-    void restoreLanes(std::uint32_t lanes);
+    /** Bring the link back to @p lanes lanes at @p at (retrains first). */
+    void restoreLanes(Tick at, std::uint32_t lanes);
 
     /**
-     * Link flap: the link is down for @p down_time, in-flight messages
-     * in both directions are lost (credits reconciled), then the link
-     * retrains before carrying traffic again.
+     * Link flap at @p at: the link is down for @p down_time, then
+     * retrains before carrying traffic again. Every message sent
+     * before @p at and due at or after it is lost (credits
+     * reconciled); its receiver drops it on arrival.
      */
-    void flap(Tick down_time);
+    void flap(Tick at, Tick down_time);
 
-    /** True while a retrain blocks the serializers. */
-    bool retraining() const { return retrainEndsAt_ > now(); }
+    /** True while a retrain blocks either serializer. */
+    bool retraining() const
+    {
+        return std::max(tx_[0].retrainEndsAt, tx_[1].retrainEndsAt) >
+               now();
+    }
 
-    std::uint32_t lanes() const { return cfg_.lanes; }
+    std::uint32_t lanes() const { return tx_[0].lanes; }
 
     std::uint64_t messagesSent() const { return agg_.msgs.value(); }
     std::uint64_t bytesSent() const { return agg_.bytes.value(); }
@@ -164,10 +188,7 @@ class EciLink : public SimObject
     std::uint64_t linkFlaps() const { return flaps_.value(); }
     std::uint64_t retrains() const { return retrains_.value(); }
     /** Messages lost in flight during flaps (credit reconciliation). */
-    std::uint64_t creditsReconciled() const
-    {
-        return creditsReconciled_.value();
-    }
+    std::uint64_t creditsReconciled() const { return agg_.lost.value(); }
     /** Tick the given direction's serializer frees up. */
     Tick busFreeAt(mem::NodeId src_node) const;
 
@@ -195,7 +216,9 @@ class EciLink : public SimObject
      * samples its own stage (touched only by the source domain's
      * thread) and the stages fold into agg_ at every epoch barrier,
      * direction 0 first — a fixed order, so the folded values are
-     * bit-identical for any thread count.
+     * bit-identical for any thread count. A message lost in a flap is
+     * counted by its receiver, in the stage of the direction that
+     * receiver sends on.
      */
     struct TxStats
     {
@@ -203,6 +226,7 @@ class EciLink : public SimObject
         Counter bytes;
         Counter dropped;
         Counter corrupted;
+        Counter lost;
         Accumulator latency;
         Accumulator serWait;
         Histogram hist{0.0, 4000.0, 80};
@@ -212,10 +236,20 @@ class EciLink : public SimObject
         void foldInto(TxStats &agg);
     };
 
-    void recomputeBandwidth();
+    /** A message on the wire, with the tick it was sent. */
+    struct Flight
+    {
+        Tick sent = 0;
+        EciMsg msg;
+    };
+
+    void setDirLanes(std::size_t dir, std::uint32_t lanes);
     Tick procLatency(mem::NodeId node) const;
     Tick sendFaulted(Tick tnow, const EciMsg &msg, FaultAction act);
-    void beginRetrain(Tick duration);
+    void deliver(Tick when, const Flight &f);
+    void onEachDir(Tick at, const char *what,
+                   std::function<void(std::size_t)> fn);
+    void beginRetrain(std::size_t dir, Tick duration);
     TxTiming txTiming(Tick tnow, const EciMsg &msg);
     void recordTx(std::size_t dir, Tick tnow, const EciMsg &msg,
                   const TxTiming &t);
@@ -226,29 +260,37 @@ class EciLink : public SimObject
     void foldDomainState();
     void flushTaps();
 
-    /** Cache-line-isolated per-direction serializer occupancy, so
-     *  two domain threads sending concurrently don't false-share. */
-    struct alignas(64) DirTick
+    /**
+     * One direction's transmit side, written only by its sending
+     * domain; cache-line isolated, so two domain threads sending
+     * concurrently don't false-share.
+     */
+    struct alignas(64) DirTx
     {
-        Tick v = 0;
+        /** Tick the serializer frees up. */
+        Tick busFreeAt = 0;
+        /** Tick the current retrain (if any) completes. */
+        Tick retrainEndsAt = 0;
+        std::uint32_t lanes = 0;
+        /** Effective bandwidth on those lanes, bytes/s. */
+        double effBw = 0;
     };
 
     Config cfg_;
-    double effBw_ = 0;
-    /** Serializer occupancy per direction, indexed by source node. */
-    std::array<DirTick, 2> busFreeAt_;
+    /** Transmit state per direction, indexed by source node. */
+    std::array<DirTx, 2> tx_;
     std::array<Handler, 2> handlers_;
     /** Messages in flight per direction (by msg.src): the serializer
      *  is FIFO and the latency fixed, so they leave in send order. */
-    std::array<sim::Wire<EciMsg>, 2> wire_;
+    std::array<sim::Wire<Flight>, 2> wire_;
     std::vector<Tap> taps_; ///< fire in attach order
     FaultFilter fault_;
-    /** Tick the current retrain (if any) completes. */
-    Tick retrainEndsAt_ = 0;
+    /** Planned flap ticks, ascending; fixed while domains run. */
+    std::vector<Tick> flapTicks_;
+    /** Link-level fault events, counted by direction 0's event. */
     Counter laneFails_;
     Counter flaps_;
     Counter retrains_;
-    Counter creditsReconciled_;
     /** Aggregate tx statistics (the registered/reported view). */
     TxStats agg_;
 

@@ -8,9 +8,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
-#include <unordered_map>
 
-#include "base/logging.hh"
 #include "base/rng.hh"
 #include "fault/fault_injector.hh"
 #include "net/rdma_engine.hh"
@@ -47,26 +45,13 @@ struct Pool
     Addr lineAt(std::uint32_t i) const { return base + i * lineBytes; }
 };
 
-/**
- * The shared scenario body. @p par switches on parallel domain mode:
- * the machine is sharded, FPGA-side traffic and its completions cross
- * through the scheduler's mailboxes, and the verification sweep keeps
- * per-domain accumulators merged in fixed order afterwards. The
- * legacy (par == false) path is byte-for-byte the classic scenario.
- */
+} // namespace
+
 ChaosResult
-runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
-             std::uint32_t threads, bool par)
+runChaos(const FaultPlan &plan, const ChaosConfig &cfg,
+         std::uint32_t threads)
 {
     ChaosResult result;
-    ChaosConfig cfg = cfg_in;
-    if (par) {
-        // Side traffic drives FPGA DRAM / the BMC from CPU-domain
-        // events; not domain-safe, so parallel runs shed it.
-        cfg.with_net = false;
-        cfg.with_rdma = false;
-        cfg.with_bmc = false;
-    }
 
     platform::EnzianMachine::Config mc;
     mc.cpu_dram_bytes = 64ull << 20;
@@ -74,20 +59,19 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
     mc.cores = 4;
     mc.protocol = cfg.protocol;
     mc.name = "chaos";
-    mc.threads = par ? std::max(threads, 1u) : 0;
+    mc.threads = std::max(threads, 1u);
     platform::EnzianMachine m(mc);
     EventQueue &eq = m.eventq();
     EventQueue &feq = m.fpgaEventq();
 
-    sim::DomainScheduler *sched = m.scheduler();
-    sim::CrossDomainChannel *toFpga = nullptr;
-    sim::CrossDomainChannel *toCpu = nullptr;
-    Tick cross = 0;
-    if (par) {
-        toFpga = &sched->channel(sched->domain(0), sched->domain(1));
-        toCpu = &sched->channel(sched->domain(1), sched->domain(0));
-        cross = sched->lookahead();
-    }
+    // The traffic driver and its pool bookkeeping live in the CPU
+    // domain; FPGA-side issues and their completions hop across.
+    sim::DomainScheduler &sched = *m.scheduler();
+    sim::CrossDomainChannel &toFpga =
+        sched.channel(*m.cpuDomain(), *m.fpgaDomain());
+    sim::CrossDomainChannel &toCpu =
+        sched.channel(*m.fpgaDomain(), *m.cpuDomain());
+    const Tick cross = sched.lookahead();
 
     verif::InvariantMonitor::Hooks hooks;
     hooks.cpuCache = &m.l2();
@@ -107,39 +91,37 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         monitor.setRetryTolerant(true);
     }
 
-    // Optional network side traffic: a TCP pair through a 4-port
-    // switch, plus an RDMA initiator/target against FPGA DRAM.
-    std::unique_ptr<net::Switch> sw;
+    // Optional side traffic: a TCP pair through its own switch in the
+    // CPU domain, and an RDMA initiator/target through another in the
+    // FPGA domain, next to the FPGA DRAM the target serves.
+    std::unique_ptr<net::Switch> tcpSw, rdmaSw;
     std::unique_ptr<net::TcpStack> tcpA, tcpB;
     std::unique_ptr<net::DirectDramPath> rdmaPath;
     std::unique_ptr<net::RdmaTarget> rdmaTgt;
     std::unique_ptr<net::RdmaInitiator> rdmaIni;
-    if (cfg.with_net || cfg.with_rdma) {
-        sw = std::make_unique<net::Switch>("chaos.sw", eq, 4,
-                                           net::Switch::Config{});
-    }
     if (cfg.with_net) {
-        tcpA = std::make_unique<net::TcpStack>("chaos.tcp0", eq, *sw,
+        tcpSw = std::make_unique<net::Switch>("chaos.tcp.sw", eq, 2,
+                                              net::Switch::Config{});
+        tcpA = std::make_unique<net::TcpStack>("chaos.tcp0", eq, *tcpSw,
                                                net::hostTcpConfig(0));
-        tcpB = std::make_unique<net::TcpStack>("chaos.tcp1", eq, *sw,
+        tcpB = std::make_unique<net::TcpStack>("chaos.tcp1", eq, *tcpSw,
                                                net::hostTcpConfig(1));
         inj.attachNet(*tcpA, *tcpB); // before connect()
     }
     if (cfg.with_rdma) {
+        rdmaSw = std::make_unique<net::Switch>("chaos.rdma.sw", feq, 2,
+                                               net::Switch::Config{});
         rdmaPath = std::make_unique<net::DirectDramPath>(m.fpgaMem());
         net::RdmaTarget::Config tc;
-        tc.port = 3;
-        rdmaTgt = std::make_unique<net::RdmaTarget>("chaos.rdma.tgt",
-                                                    eq, *sw, *rdmaPath,
-                                                    tc);
-        rdmaIni = std::make_unique<net::RdmaInitiator>("chaos.rdma.ini",
-                                                       eq, *sw, 2, 3);
+        tc.port = 1;
+        rdmaTgt = std::make_unique<net::RdmaTarget>(
+            "chaos.rdma.tgt", feq, *rdmaSw, *rdmaPath, tc);
+        rdmaIni = std::make_unique<net::RdmaInitiator>(
+            "chaos.rdma.ini", feq, *rdmaSw, 0, 1);
         inj.attachRdma(*rdmaIni, *rdmaTgt);
     }
     if (cfg.with_bmc)
         inj.attachBmc(m.bmc());
-    if (par)
-        inj.bindDomains(*sched);
     inj.arm();
 
     // Three pools, each with exactly one writer so the last issued
@@ -175,9 +157,9 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
     };
 
     const Tick gap = units::ns(350.0);
-    // Parallel mode: FPGA-side issues hop into the FPGA domain, and
-    // their completions hop back, so pool bookkeeping stays CPU-local.
-    // Both hops must respect the channels' lookahead floor.
+    // FPGA-side issues hop into the FPGA domain, and their completions
+    // hop back, so pool bookkeeping stays CPU-local. Both hops must
+    // respect the channels' lookahead floor.
     const Tick hop = std::max(gap, cross);
 
     auto issueWrite = [&](Pool &p, std::uint32_t i, int role) {
@@ -186,39 +168,28 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         const std::uint32_t v = ++p.version[i];
         auto buf = std::make_shared<std::vector<std::uint8_t>>(lineBytes);
         fillPattern(buf->data(), line, v);
-        if (par && role != 0) {
-            auto done = [&p, i, &completed, buf, toCpu, &feq,
-                         cross](Tick) {
-                toCpu->push(feq.now() + cross,
-                            [&p, i, &completed]() {
-                                p.inflight[i] = false;
-                                ++completed;
-                            });
-            };
-            if (role == 1) {
-                toFpga->push(eq.now() + hop, [&m, line, buf, done]() {
-                    m.fpgaHome().localWrite(line, buf->data(), done);
-                });
-            } else {
-                toFpga->push(eq.now() + hop, [&m, line, buf, done]() {
-                    m.fpgaRemote().writeLineUncached(line, buf->data(),
-                                                     done);
-                });
-            }
-            ++issued;
+        ++issued;
+        if (role == 0) {
+            m.cpuRemote().writeLine(line, buf->data(),
+                                    [&p, i, &completed, buf](Tick) {
+                                        p.inflight[i] = false;
+                                        ++completed;
+                                    });
             return;
         }
-        auto done = [&p, i, &completed, buf](Tick) {
-            p.inflight[i] = false;
-            ++completed;
+        auto done = [&p, i, &completed, buf, &toCpu, &feq,
+                     cross](Tick) {
+            toCpu.push(feq.now() + cross, [&p, i, &completed]() {
+                p.inflight[i] = false;
+                ++completed;
+            });
         };
-        if (role == 0)
-            m.cpuRemote().writeLine(line, buf->data(), done);
-        else if (role == 1)
-            m.fpgaHome().localWrite(line, buf->data(), done);
-        else
-            m.fpgaRemote().writeLineUncached(line, buf->data(), done);
-        ++issued;
+        toFpga.push(eq.now() + hop, [&m, role, line, buf, done]() {
+            if (role == 1)
+                m.fpgaHome().localWrite(line, buf->data(), done);
+            else
+                m.fpgaRemote().writeLineUncached(line, buf->data(), done);
+        });
     };
 
     auto issueRead = [&](Pool &p, std::uint32_t i, int role) {
@@ -297,9 +268,11 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         }
     }
 
-    // RDMA side traffic: write buffers into FPGA DRAM (offsets far
-    // above the coherent pools), read them back, compare.
+    // RDMA side traffic, all in the FPGA domain: write buffers into
+    // FPGA DRAM (offsets far above the coherent pools), read them
+    // back, compare. Its results stay in FPGA-side accumulators.
     std::uint32_t rdmaJobs = 0, rdmaJobsDone = 0;
+    std::vector<std::string> rdmaMismatches;
     std::vector<std::shared_ptr<std::vector<std::uint8_t>>> rdmaBufs;
     if (cfg.with_rdma) {
         rdmaJobs = 4;
@@ -314,24 +287,24 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
                 (*src)[b] = static_cast<std::uint8_t>(b * 31 + j);
             rdmaBufs.push_back(src);
             rdmaBufs.push_back(dst);
-            eq.schedule(
+            feq.schedule(
                 units::us(3.0 + 7.0 * j),
-                [&rdmaIni, &rdmaJobsDone, &mismatches, off, len, src,
+                [&rdmaIni, &rdmaJobsDone, &rdmaMismatches, off, len, src,
                  dst]() {
                     rdmaIni->write(
                         off, src->data(), len,
-                        [&rdmaIni, &rdmaJobsDone, &mismatches, off,
+                        [&rdmaIni, &rdmaJobsDone, &rdmaMismatches, off,
                          len, src, dst](Tick) {
                             rdmaIni->read(
                                 off, dst->data(), len,
-                                [&rdmaJobsDone, &mismatches, off, src,
+                                [&rdmaJobsDone, &rdmaMismatches, off, src,
                                  dst](Tick) {
                                     if (*src != *dst) {
                                         std::ostringstream os;
                                         os << "rdma data mismatch at "
                                               "offset 0x"
                                            << std::hex << off;
-                                        mismatches.push_back(os.str());
+                                        rdmaMismatches.push_back(os.str());
                                     }
                                     ++rdmaJobsDone;
                                 });
@@ -342,13 +315,15 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
     }
 
     m.run();
+    mismatches.insert(mismatches.end(), rdmaMismatches.begin(),
+                      rdmaMismatches.end());
 
     // Quiescent data-integrity sweep: every line a write was acked on
     // must read back the last issued pattern through its home agent
     // (which snoops any cached copy, so this sees the coherent truth).
-    // In parallel mode the FPGA-homed reads complete on the FPGA
-    // domain, so they get their own accumulators, merged after the
-    // run in fixed order (CPU first) for thread-count determinism.
+    // The FPGA-homed reads complete on the FPGA domain, so they get
+    // their own accumulators, merged after the run in fixed order (CPU
+    // first) for thread-count determinism.
     std::uint32_t checksLeft = 0;
     std::uint32_t fpgaChecksLeft = 0;
     std::vector<std::string> fpgaMismatches;
@@ -356,9 +331,8 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
         for (std::uint32_t i = 0; i < cfg.lines; ++i) {
             if (p.version[i] == 0)
                 continue;
-            const bool onFpga = fpga_homed && par;
-            auto &mis = onFpga ? fpgaMismatches : mismatches;
-            auto &left = onFpga ? fpgaChecksLeft : checksLeft;
+            auto &mis = fpga_homed ? fpgaMismatches : mismatches;
+            auto &left = fpga_homed ? fpgaChecksLeft : checksLeft;
             ++left;
             const Addr line = p.lineAt(i);
             const std::uint32_t v = p.version[i];
@@ -428,35 +402,6 @@ runChaosImpl(const FaultPlan &plan, const ChaosConfig &cfg_in,
     }
     result.ok = result.violations.empty();
     return result;
-}
-
-} // namespace
-
-ChaosResult
-runChaos(const FaultPlan &plan, const ChaosConfig &cfg)
-{
-    return runChaosImpl(plan, cfg, 0, false);
-}
-
-bool
-planParallelSafe(const FaultPlan &plan)
-{
-    for (const auto &s : plan.faults) {
-        if (!FaultInjector::kindDomainSafe(s.kind))
-            return false;
-    }
-    return true;
-}
-
-ChaosResult
-runChaosParallel(const FaultPlan &plan, const ChaosConfig &cfg,
-                 std::uint32_t threads)
-{
-    if (!planParallelSafe(plan)) {
-        fatal("runChaosParallel: plan contains fault kinds that are "
-              "not domain-safe (only ECI msg drop/corrupt are)");
-    }
-    return runChaosImpl(plan, cfg, threads, true);
 }
 
 } // namespace enzian::fault

@@ -4,11 +4,20 @@
  *
  * Drives randomized coherent traffic (cached remote writes, home-local
  * writes that force invalidations, uncached remote stores) plus
- * optional TCP and RDMA side traffic against a machine with a
+ * optional TCP, RDMA and BMC side traffic against a machine with a
  * FaultInjector armed and the coherence invariant monitor attached.
- * After the event queue drains, every acked write is read back through
+ * After the machine drains, every acked write is read back through
  * the line's home agent and compared byte-for-byte, the caches are
  * flushed, and the monitor's machine-wide invariants are checked.
+ *
+ * The machine always runs as a CPU and an FPGA timing domain, with
+ * every fault kind and all side traffic: the TCP pair and the BMC in
+ * the CPU domain, the RDMA pair (and its own switch) in the FPGA
+ * domain next to the FPGA DRAM it serves. FPGA-side coherent issues
+ * and their completions cross through the scheduler's channels, and
+ * per-domain results merge after the run in a fixed order, so the
+ * result — including the registry export — is bit-identical for
+ * every thread count.
  *
  * Shared by the chaos soak test (tests/test_fault_chaos.cc) and the
  * enzchaos CLI.
@@ -65,28 +74,12 @@ struct ChaosResult
     std::string registryJson;
 };
 
-/** Run one chaos scenario to completion. */
-ChaosResult runChaos(const FaultPlan &plan, const ChaosConfig &cfg);
-
 /**
- * True when every fault in @p plan injects without touching state
- * shared across timing domains (ECI message drop/corrupt only);
- * required by runChaosParallel().
+ * Run one chaos scenario to completion on @p threads threads (0 runs
+ * as 1; every count gives the same result).
  */
-bool planParallelSafe(const FaultPlan &plan);
-
-/**
- * Run the chaos scenario on a machine sharded into parallel timing
- * domains (threads >= 1; 1 runs the same domain semantics
- * sequentially). FPGA-side traffic crosses into the FPGA domain
- * through the scheduler's mailboxes, and side traffic (net/rdma/bmc)
- * is forced off because it drives FPGA DRAM from the CPU domain. The
- * result — including the captured registry JSON — is bit-identical
- * for every thread count.
- */
-ChaosResult runChaosParallel(const FaultPlan &plan,
-                             const ChaosConfig &cfg,
-                             std::uint32_t threads);
+ChaosResult runChaos(const FaultPlan &plan, const ChaosConfig &cfg,
+                     std::uint32_t threads = 1);
 
 } // namespace enzian::fault
 

@@ -16,15 +16,20 @@ namespace enzian::fault {
 namespace {
 
 /**
- * Subsystem stream ordinals; mixed into the plan seed with a
- * golden-ratio stride so per-subsystem streams are decorrelated.
+ * Component stream ordinals; mixed into the plan seed with a
+ * golden-ratio stride so the per-component streams are decorrelated.
  */
 constexpr std::uint64_t streamStride = 0x9e3779b97f4a7c15ull;
+constexpr std::uint64_t bmcStream = 5;
+constexpr std::uint64_t eciStream = 16;  ///< + source node
+constexpr std::uint64_t dramStream = 18; ///< + node
+constexpr std::uint64_t netStream = 20;  ///< + attached stack
+constexpr std::uint64_t rdmaStream = 22; ///< + 0 initiator, 1 target
 
-std::uint64_t
-streamSeed(std::uint64_t seed, std::uint64_t ordinal)
+Rng
+stream(std::uint64_t seed, std::uint64_t ordinal)
 {
-    return seed ^ (ordinal * streamStride);
+    return Rng(seed ^ (ordinal * streamStride));
 }
 
 /** Initial retry timeouts; generous against retrain-length stalls. */
@@ -43,11 +48,15 @@ const char *const fpgaRails[] = {"VCCINT", "VCCAUX", "MGTAVCC",
 FaultInjector::FaultInjector(std::string name, EventQueue &eq,
                              const FaultPlan &plan)
     : SimObject(std::move(name), eq), plan_(plan),
-      eciRng_(streamSeed(plan.seed, 1)),
-      dramRng_(streamSeed(plan.seed, 2)),
-      netRng_(streamSeed(plan.seed, 3)),
-      rdmaRng_(streamSeed(plan.seed, 4)),
-      bmcRng_(streamSeed(plan.seed, 5))
+      eciDirRng_{stream(plan.seed, eciStream),
+                 stream(plan.seed, eciStream + 1)},
+      dramRng_{stream(plan.seed, dramStream),
+               stream(plan.seed, dramStream + 1)},
+      netRng_{stream(plan.seed, netStream),
+              stream(plan.seed, netStream + 1)},
+      rdmaRng_{stream(plan.seed, rdmaStream),
+               stream(plan.seed, rdmaStream + 1)},
+      bmcRng_(stream(plan.seed, bmcStream))
 {
     for (std::size_t k = 0; k < faultKindCount; ++k) {
         stats().addCounter(
@@ -66,6 +75,70 @@ FaultInjector::eciLossy() const
 }
 
 void
+FaultInjector::addStage(EventQueue &q)
+{
+    ENZIAN_ASSERT(!armed_, "fault count stages are fixed at arm()");
+    if (std::find(queues_.begin(), queues_.end(), &q) == queues_.end())
+        queues_.push_back(&q);
+}
+
+void
+FaultInjector::count(EventQueue &q, FaultKind k)
+{
+    const auto i = static_cast<std::size_t>(k);
+    if (!sched_) {
+        injected_[i].inc();
+        return;
+    }
+    const auto stage = std::find(queues_.begin(), queues_.end(), &q);
+    ENZIAN_ASSERT(stage != queues_.end(), "count on an unstaged queue");
+    ++staged_[static_cast<std::size_t>(stage - queues_.begin())][i];
+}
+
+void
+FaultInjector::foldStagedCounts()
+{
+    // Fixed fold order (stage creation order) so the shared counters
+    // are identical for every thread count.
+    for (Counts &stage : staged_) {
+        for (std::size_t k = 0; k < faultKindCount; ++k) {
+            if (stage[k] != 0) {
+                injected_[k].inc(stage[k]);
+                stage[k] = 0;
+            }
+        }
+    }
+}
+
+void
+FaultInjector::openWindow(EventQueue &q, const FaultSpec &s, bool counted,
+                          double &slot,
+                          std::function<void(bool open)> apply)
+{
+    // The spec's probability adds to the component's open windows at
+    // s.at and comes off at s.until, both on the component's queue.
+    addStage(q);
+    q.schedule(
+        s.at,
+        [this, &q, counted, &slot, apply, p = s.prob, kind = s.kind]() {
+            if (counted)
+                count(q, kind);
+            slot += p;
+            apply(true);
+        },
+        "fault-window-open");
+    if (s.until > s.at) {
+        q.schedule(
+            s.until,
+            [&slot, apply, p = s.prob]() {
+                slot = std::max(0.0, slot - p);
+                apply(false);
+            },
+            "fault-window-close");
+    }
+}
+
+void
 FaultInjector::attachEci(eci::EciFabric &fabric,
                          eci::HomeAgent &cpu_home,
                          eci::HomeAgent &fpga_home,
@@ -77,6 +150,10 @@ FaultInjector::attachEci(eci::EciFabric &fabric,
     homes_[1] = &fpga_home;
     remotes_[0] = &cpu_remote;
     remotes_[1] = &fpga_remote;
+    // Every link of a fabric joins the same two domains.
+    sched_ = fabric.link(0).scheduler();
+    addStage(fabric.link(0).sendQueue(mem::NodeId::Cpu));
+    addStage(fabric.link(0).sendQueue(mem::NodeId::Fpga));
 
     for (const auto &s : plan_.faults) {
         if (s.kind == FaultKind::EciMsgDrop ||
@@ -108,51 +185,20 @@ FaultInjector::eciFilter(Tick t, const eci::EciMsg &msg)
     // IPIs have no retry path, so loss injection exempts them.
     if (msg.op == eci::Opcode::IPI)
         return eci::EciLink::FaultAction::Deliver;
-    // In domain mode the filter runs concurrently from both domains;
-    // each draws only from its own direction's stream and stages its
-    // counts for the barrier fold.
+    // The filter runs in the sending domain: it draws only from its
+    // direction's stream and counts in that domain's stage.
     const auto dir = static_cast<std::size_t>(msg.src);
-    Rng &rng = domainMode() ? eciDirRng_[dir] : eciRng_;
     for (const auto &s : eciMsgSpecs_) {
         if (t < s.at || (s.until != 0 && t >= s.until))
             continue;
-        if (rng.chance(s.prob)) {
-            if (domainMode())
-                ++stagedCounts_[dir][static_cast<std::size_t>(s.kind)];
-            else
-                count(s.kind);
+        if (eciDirRng_[dir].chance(s.prob)) {
+            count(fabric_->link(0).sendQueue(msg.src), s.kind);
             return s.kind == FaultKind::EciMsgDrop
                        ? eci::EciLink::FaultAction::Drop
                        : eci::EciLink::FaultAction::Corrupt;
         }
     }
     return eci::EciLink::FaultAction::Deliver;
-}
-
-void
-FaultInjector::bindDomains(sim::DomainScheduler &sched)
-{
-    ENZIAN_ASSERT(!armed_, "bindDomains() must precede arm()");
-    stagedCounts_.arm();
-    eciDirRng_[0] = Rng(streamSeed(plan_.seed, 16));
-    eciDirRng_[1] = Rng(streamSeed(plan_.seed, 17));
-    sched.addBarrierTask([this] { foldDomainCounts(); });
-}
-
-void
-FaultInjector::foldDomainCounts()
-{
-    // Fixed fold order (direction 0 then 1) so the shared counters
-    // are identical for every thread count.
-    stagedCounts_.fold([this](std::array<std::uint64_t,
-                                         faultKindCount> &dir) {
-        for (std::size_t k = 0; k < faultKindCount; ++k) {
-            if (dir[k] != 0) {
-                injected_[k].inc(dir[k]);
-                dir[k] = 0;
-            }
-        }
-    });
 }
 
 void
@@ -164,13 +210,14 @@ FaultInjector::attachDram(mem::DramSystem &cpu_dram,
 }
 
 void
-FaultInjector::applyDramWindows(mem::DramSystem *dram, std::size_t node)
+FaultInjector::applyDramWindows(std::size_t node)
 {
     const auto &cfg = eccNow_[node];
     const bool active =
         cfg.correctable_prob > 0.0 || cfg.uncorrectable_prob > 0.0;
+    mem::DramSystem *dram = drams_[node];
     for (std::uint32_t i = 0; i < dram->channelCount(); ++i)
-        dram->channel(i).armEcc(active ? &dramRng_ : nullptr, cfg);
+        dram->channel(i).armEcc(active ? &dramRng_[node] : nullptr, cfg);
 }
 
 void
@@ -178,8 +225,7 @@ FaultInjector::attachNet(net::TcpStack &a, net::TcpStack &b)
 {
     tcp_[0] = &a;
     tcp_[1] = &b;
-    if (plan_.hasKind(FaultKind::NetLoss) ||
-        plan_.hasKind(FaultKind::NetReorder)) {
+    if (plan_.hasKind(FaultKind::NetLoss)) {
         // Recovery must be on before any flow opens.
         a.enableRecovery(netRtoUs);
         b.enableRecovery(netRtoUs);
@@ -187,14 +233,12 @@ FaultInjector::attachNet(net::TcpStack &a, net::TcpStack &b)
 }
 
 void
-FaultInjector::applyNetWindows()
+FaultInjector::applyNetWindow(std::size_t stack)
 {
-    Rng *rng =
-        (netDropNow_ > 0.0 || netReorderNow_ > 0.0) ? &netRng_ : nullptr;
-    for (auto *stack : tcp_) {
-        stack->setLossFaults(rng, netDropNow_, netReorderNow_,
-                             netReorderDelayUs_);
-    }
+    const NetWindow &w = netNow_[stack];
+    Rng *rng = (w.drop > 0.0 || w.reorder > 0.0) ? &netRng_[stack]
+                                                 : nullptr;
+    tcp_[stack]->setLossFaults(rng, w.drop, w.reorder, w.reorderDelayUs);
 }
 
 void
@@ -208,11 +252,14 @@ FaultInjector::attachRdma(net::RdmaInitiator &ini, net::RdmaTarget &tgt,
 }
 
 void
-FaultInjector::applyRdmaWindows()
+FaultInjector::applyRdmaWindow(std::size_t side)
 {
-    Rng *rng = rdmaDropNow_ > 0.0 ? &rdmaRng_ : nullptr;
-    rdmaIni_->setFaults(rng, rdmaDropNow_);
-    rdmaTgt_->setFaults(rng, rdmaDropNow_);
+    const double p = rdmaDropNow_[side];
+    Rng *rng = p > 0.0 ? &rdmaRng_[side] : nullptr;
+    if (side == 0)
+        rdmaIni_->setFaults(rng, p);
+    else
+        rdmaTgt_->setFaults(rng, p);
 }
 
 void
@@ -225,19 +272,6 @@ void
 FaultInjector::arm()
 {
     ENZIAN_ASSERT(!armed_, "FaultInjector armed twice");
-    armed_ = true;
-    if (domainMode()) {
-        // Every other kind mutates state shared across domains (DRAM
-        // RNG, link retrain clocks, BMC sequencing) from timeline
-        // events on one domain's queue — not safe in parallel runs.
-        for (const auto &s : plan_.faults) {
-            if (!kindDomainSafe(s.kind)) {
-                fatal("fault kind '%s' cannot be armed in parallel "
-                      "domain mode (only ECI msg drop/corrupt can)",
-                      toString(s.kind));
-            }
-        }
-    }
     Tick bmcAt = 0;
     bool haveGlitch = false;
     for (const auto &s : plan_.faults) {
@@ -245,41 +279,26 @@ FaultInjector::arm()
           case FaultKind::EciMsgDrop:
           case FaultKind::EciMsgCorrupt:
             break; // handled by the per-send filter
-          case FaultKind::EciLaneFail: {
-            if (!fabric_)
-                break;
-            auto &link =
-                fabric_->link(s.target % fabric_->linkCount());
-            const auto n = static_cast<std::uint32_t>(s.param);
-            const std::uint32_t before = link.lanes();
-            eventq().schedule(
-                s.at,
-                [this, &link, n, kind = s.kind]() {
-                    count(kind);
-                    link.failLanes(n);
-                },
-                "fault-lane-fail");
-            if (s.until > s.at) {
-                eventq().schedule(
-                    s.until,
-                    [&link, before]() { link.restoreLanes(before); },
-                    "fault-lane-restore");
-            }
-            break;
-          }
+          case FaultKind::EciLaneFail:
           case FaultKind::EciLinkFlap: {
             if (!fabric_)
                 break;
+            // The link schedules its own per-direction events; the
+            // CPU-side queue counts the injection.
             auto &link =
                 fabric_->link(s.target % fabric_->linkCount());
-            const Tick down = units::us(std::max(s.param, 0.5));
-            eventq().schedule(
-                s.at,
-                [this, &link, down, kind = s.kind]() {
-                    count(kind);
-                    link.flap(down);
-                },
-                "fault-link-flap");
+            EventQueue &q = link.sendQueue(mem::NodeId::Cpu);
+            addStage(q);
+            q.schedule(s.at, [this, &q, k = s.kind]() { count(q, k); },
+                       "fault-count");
+            if (s.kind == FaultKind::EciLinkFlap) {
+                link.flap(s.at, units::us(std::max(s.param, 0.5)));
+                break;
+            }
+            const std::uint32_t before = link.lanes();
+            link.failLanes(s.at, static_cast<std::uint32_t>(s.param));
+            if (s.until > s.at)
+                link.restoreLanes(s.until, before);
             break;
           }
           case FaultKind::DramEccCorrectable:
@@ -287,84 +306,42 @@ FaultInjector::arm()
             const std::size_t node = s.target % 2;
             if (!drams_[node])
                 break;
-            const bool corr = s.kind == FaultKind::DramEccCorrectable;
-            eventq().schedule(
-                s.at,
-                [this, node, corr, p = s.prob, kind = s.kind]() {
-                    count(kind);
-                    auto &cfg = eccNow_[node];
-                    (corr ? cfg.correctable_prob
-                          : cfg.uncorrectable_prob) += p;
-                    applyDramWindows(drams_[node], node);
-                },
-                "fault-ecc-on");
-            if (s.until > s.at) {
-                eventq().schedule(
-                    s.until,
-                    [this, node, corr, p = s.prob]() {
-                        auto &cfg = eccNow_[node];
-                        auto &slot = corr ? cfg.correctable_prob
-                                          : cfg.uncorrectable_prob;
-                        slot = std::max(0.0, slot - p);
-                        applyDramWindows(drams_[node], node);
-                    },
-                    "fault-ecc-off");
-            }
+            auto &cfg = eccNow_[node];
+            openWindow(drams_[node]->channel(0).eventq(), s, true,
+                       s.kind == FaultKind::DramEccCorrectable
+                           ? cfg.correctable_prob
+                           : cfg.uncorrectable_prob,
+                       [this, node](bool) { applyDramWindows(node); });
             break;
           }
           case FaultKind::NetLoss:
           case FaultKind::NetReorder: {
             if (!tcp_[0])
                 break;
-            const bool loss = s.kind == FaultKind::NetLoss;
-            eventq().schedule(
-                s.at,
-                [this, loss, p = s.prob, d = s.param,
-                 kind = s.kind]() {
-                    count(kind);
-                    if (loss) {
-                        netDropNow_ += p;
-                    } else {
-                        netReorderNow_ += p;
-                        if (d > 0.0)
-                            netReorderDelayUs_ = d;
-                    }
-                    applyNetWindows();
-                },
-                "fault-net-on");
-            if (s.until > s.at) {
-                eventq().schedule(
-                    s.until,
-                    [this, loss, p = s.prob]() {
-                        auto &slot =
-                            loss ? netDropNow_ : netReorderNow_;
-                        slot = std::max(0.0, slot - p);
-                        applyNetWindows();
-                    },
-                    "fault-net-off");
+            // One window per stack; stack 0's counts the injection.
+            for (std::size_t i = 0; i < 2; ++i) {
+                NetWindow &w = netNow_[i];
+                const bool loss = s.kind == FaultKind::NetLoss;
+                // A reorder window sets the delay when it opens.
+                const double delay = loss ? 0.0 : s.param;
+                openWindow(tcp_[i]->eventq(), s, i == 0,
+                           loss ? w.drop : w.reorder,
+                           [this, i, &w, delay](bool open) {
+                               if (open && delay > 0.0)
+                                   w.reorderDelayUs = delay;
+                               applyNetWindow(i);
+                           });
             }
             break;
           }
           case FaultKind::RdmaDrop: {
             if (!rdmaIni_)
                 break;
-            eventq().schedule(
-                s.at,
-                [this, p = s.prob, kind = s.kind]() {
-                    count(kind);
-                    rdmaDropNow_ += p;
-                    applyRdmaWindows();
-                },
-                "fault-rdma-on");
-            if (s.until > s.at) {
-                eventq().schedule(
-                    s.until,
-                    [this, p = s.prob]() {
-                        rdmaDropNow_ = std::max(0.0, rdmaDropNow_ - p);
-                        applyRdmaWindows();
-                    },
-                    "fault-rdma-off");
-            }
+            // The initiator's window counts the injection.
+            openWindow(rdmaIni_->eventq(), s, true, rdmaDropNow_[0],
+                       [this](bool) { applyRdmaWindow(0); });
+            openWindow(rdmaTgt_->eventq(), s, false, rdmaDropNow_[1],
+                       [this](bool) { applyRdmaWindow(1); });
             break;
           }
           case FaultKind::BmcRailGlitch: {
@@ -382,6 +359,17 @@ FaultInjector::arm()
     }
     if (haveGlitch)
         scheduleBmcPowerUp(bmcAt);
+
+    if (sched_) {
+        staged_.assign(queues_.size(), Counts{});
+        sched_->addBarrierTask([this] { foldStagedCounts(); });
+    } else if (queues_.size() > 1) {
+        fatal("fault injector '%s': faulted components run on %zu "
+              "queues but no scheduler joins them (attach the ECI "
+              "fabric of the sharded machine)",
+              name().c_str(), queues_.size());
+    }
+    armed_ = true;
 }
 
 void
@@ -389,22 +377,25 @@ FaultInjector::scheduleBmcPowerUp(Tick at)
 {
     // Rail glitches need a powered board: sequence standby, then both
     // domains, then run the glitches strictly one after another so
-    // power cycles of a domain never overlap.
-    eventq().schedule(
-        std::max(at, now() + units::us(1.0)),
-        [this]() {
+    // power cycles of a domain never overlap. Everything runs on the
+    // BMC's queue.
+    EventQueue &q = bmc_->eventq();
+    addStage(q);
+    q.schedule(
+        std::max(at, q.now() + units::us(1.0)),
+        [this, &q]() {
             const Tick standby = bmc_->domainUp(bmc::Domain::Standby)
-                                     ? now()
+                                     ? q.now()
                                      : bmc_->commonPowerUp();
-            eventq().schedule(
+            q.schedule(
                 standby + units::us(1.0),
-                [this]() {
-                    Tick ready = now();
+                [this, &q]() {
+                    Tick ready = q.now();
                     if (!bmc_->domainUp(bmc::Domain::Cpu))
                         ready = std::max(ready, bmc_->cpuPowerUp());
                     if (!bmc_->domainUp(bmc::Domain::Fpga))
                         ready = std::max(ready, bmc_->fpgaPowerUp());
-                    eventq().schedule(
+                    q.schedule(
                         ready + units::us(1.0),
                         [this]() { runNextGlitch(0); },
                         "fault-bmc-glitches");
@@ -419,9 +410,9 @@ FaultInjector::runNextGlitch(std::size_t i)
 {
     if (i >= glitchRails_.size())
         return;
-    count(FaultKind::BmcRailGlitch);
+    count(bmc_->eventq(), FaultKind::BmcRailGlitch);
     const Tick settled = bmc_->injectRailGlitch(glitchRails_[i]);
-    eventq().schedule(
+    bmc_->eventq().schedule(
         settled + units::us(10.0),
         [this, i]() { runNextGlitch(i + 1); }, "fault-bmc-next-glitch");
 }

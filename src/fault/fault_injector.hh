@@ -3,13 +3,26 @@
  * Seeded, sim-time-scheduled fault injection.
  *
  * The injector turns a declarative FaultPlan into scheduled events and
- * per-message fault filters against an attached set of subsystems. Two
- * properties are load-bearing:
+ * per-message fault filters against an attached set of subsystems. It
+ * runs every fault kind the same way on one event queue and on a
+ * machine sharded into timing domains, by one rule:
  *
- *  - Determinism: every subsystem draws from its own Rng stream forked
- *    from the plan seed, so enabling (or reordering) faults in one
- *    subsystem never perturbs another's draws, and the same plan +
- *    seed reproduces the same injection schedule bit-for-bit.
+ *  - One stream per faulted component: each ECI direction, DRAM node,
+ *    TCP stack, the RDMA initiator, the RDMA target and the BMC draw
+ *    from their own Rng stream, forked from the plan seed by a fixed
+ *    ordinal. Enabling (or reordering) faults in one component never
+ *    perturbs another's draws, and the same plan + seed reproduces
+ *    the same injection schedule bit-for-bit.
+ *
+ *  - One queue per faulted component: a fault's window or one-shot
+ *    events run on the queue of the component they change, so only
+ *    that component's domain touches its stream and fault state.
+ *
+ *  - Counts staged per domain: on a sharded machine each queue counts
+ *    its injections in its own stage, folded into the reported
+ *    counters at every epoch barrier in a fixed order, so counts are
+ *    identical for any thread count. The scheduler is the attached
+ *    ECI fabric's.
  *
  *  - Zero overhead when off: nothing here touches a subsystem unless
  *    the plan names it; with no plan the simulated machine's event
@@ -25,6 +38,7 @@
 #define ENZIAN_FAULT_FAULT_INJECTOR_HH
 
 #include <array>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -36,7 +50,6 @@
 #include "mem/dram_channel.hh"
 #include "net/rdma_engine.hh"
 #include "net/tcp_stack.hh"
-#include "sim/domain_binding.hh"
 
 namespace enzian::fault {
 
@@ -52,7 +65,8 @@ class FaultInjector : public SimObject
      * fault filter per link (drop/corrupt windows; IPIs are exempt
      * from loss because they have no retry path) and enables the
      * agents' recovery machinery when the plan contains any ECI loss
-     * kind. Call before arm().
+     * kind. On a machine sharded into timing domains the fabric's
+     * scheduler folds the injector's counts. Call before arm().
      */
     void attachEci(eci::EciFabric &fabric, eci::HomeAgent &cpu_home,
                    eci::HomeAgent &fpga_home,
@@ -66,7 +80,8 @@ class FaultInjector : public SimObject
     /**
      * Attach a TCP stack pair for loss/reorder injection. Turns on
      * both stacks' retransmission (enableRecovery()) when the plan
-     * contains a net fault kind, so call before connect().
+     * can lose segments (NetLoss; the in-order receiver absorbs
+     * reordering alone), so call before connect().
      */
     void attachNet(net::TcpStack &a, net::TcpStack &b);
 
@@ -89,37 +104,14 @@ class FaultInjector : public SimObject
     void attachBmc(bmc::Bmc &bmc);
 
     /**
-     * Parallel domain mode: ECI message faults draw from one RNG
-     * stream per link direction (each touched only by its source
-     * domain) and stage their injection counts per direction, folded
-     * into the reported counters at every epoch barrier — so counts
-     * and draws are bit-identical for any thread count. Only
-     * domain-local fault kinds (EciMsgDrop / EciMsgCorrupt) may be
-     * armed in this mode; arm() rejects the rest. Call before arm().
+     * Schedule every fault in the plan. Call once, after attaching,
+     * before the run. Components on more than one queue need the ECI
+     * fabric attached, since its scheduler folds their counts.
      */
-    void bindDomains(sim::DomainScheduler &sched);
-
-    /** True when bindDomains() has switched to per-direction streams. */
-    bool domainMode() const { return stagedCounts_.armed(); }
-
-    /** Can @p k inject without cross-domain shared state? */
-    static bool kindDomainSafe(FaultKind k)
-    {
-        return k == FaultKind::EciMsgDrop ||
-               k == FaultKind::EciMsgCorrupt;
-    }
-
-    /** Schedule every fault in the plan. Call once, after attaching. */
     void arm();
 
     /** True if the plan can lose ECI messages (drop/corrupt/flap). */
     bool eciLossy() const;
-
-    /** Injections performed so far for @p k. */
-    std::uint64_t injected(FaultKind k) const
-    {
-        return injected_[static_cast<std::size_t>(k)].value();
-    }
 
     /** Total injections across all kinds. */
     std::uint64_t injectedTotal() const;
@@ -127,37 +119,49 @@ class FaultInjector : public SimObject
     /** Human-readable per-kind injection/recovery summary. */
     std::string report() const;
 
-    const FaultPlan &plan() const { return plan_; }
-
   private:
+    using Counts = std::array<std::uint64_t, faultKindCount>;
+
+    /** Open-window accumulation for one TCP stack. */
+    struct NetWindow
+    {
+        double drop = 0.0;
+        double reorder = 0.0;
+        double reorderDelayUs = 20.0;
+    };
+
     eci::EciLink::FaultAction eciFilter(Tick t, const eci::EciMsg &msg);
-    void applyDramWindows(mem::DramSystem *dram, std::size_t node);
-    void applyNetWindows();
-    void applyRdmaWindows();
+    void applyDramWindows(std::size_t node);
+    void applyNetWindow(std::size_t stack);
+    void applyRdmaWindow(std::size_t side);
     void scheduleBmcPowerUp(Tick at);
     void runNextGlitch(std::size_t i);
-    void count(FaultKind k) { injected_[static_cast<std::size_t>(k)].inc(); }
-    void foldDomainCounts();
+    void addStage(EventQueue &q);
+    void count(EventQueue &q, FaultKind k);
+    void openWindow(EventQueue &q, const FaultSpec &s, bool counted,
+                    double &slot, std::function<void(bool open)> apply);
+    void foldStagedCounts();
 
     FaultPlan plan_;
     bool armed_ = false;
 
-    /** Per-subsystem streams forked from the plan seed. */
-    Rng eciRng_;
-    Rng dramRng_;
-    Rng netRng_;
-    Rng rdmaRng_;
+    /** Per-component streams forked from the plan seed. */
+    std::array<Rng, 2> eciDirRng_; ///< by source node
+    std::array<Rng, 2> dramRng_;   ///< by node
+    std::array<Rng, 2> netRng_;    ///< by attached stack
+    std::array<Rng, 2> rdmaRng_;   ///< initiator, target
     Rng bmcRng_;
+
     /**
-     * Domain mode: one ECI stream per link direction (index =
-     * source node), touched only by that direction's source domain,
-     * plus per-direction staged injection counts folded into the
-     * shared counters at epoch barriers (dir 0 first, then dir 1);
-     * arming the stage is the domain-mode flag.
+     * Count stages, one per queue a fault event or filter runs on
+     * (queues_[i] counts into staged_[i]), in first-use order; with a
+     * scheduler each is touched only by its domain and folded into
+     * injected_ at every barrier in that order. Without one, counts go
+     * straight to injected_.
      */
-    std::array<Rng, 2> eciDirRng_;
-    sim::DirStaged<std::array<std::uint64_t, faultKindCount>>
-        stagedCounts_;
+    sim::DomainScheduler *sched_ = nullptr;
+    std::vector<EventQueue *> queues_;
+    std::vector<Counts> staged_;
 
     // Attached subsystems (null = not attached).
     eci::EciFabric *fabric_ = nullptr;
@@ -173,11 +177,9 @@ class FaultInjector : public SimObject
     std::vector<FaultSpec> eciMsgSpecs_;
     /** Open-window accumulation per node for DRAM ECC. */
     mem::DramChannel::EccConfig eccNow_[2];
-    /** Open-window accumulation for net/rdma loss. */
-    double netDropNow_ = 0.0;
-    double netReorderNow_ = 0.0;
-    double netReorderDelayUs_ = 20.0;
-    double rdmaDropNow_ = 0.0;
+    /** Open-window accumulation per TCP stack and RDMA side. */
+    std::array<NetWindow, 2> netNow_;
+    std::array<double, 2> rdmaDropNow_{0.0, 0.0};
     /** Rail glitches, run strictly one after the other. */
     std::vector<std::string> glitchRails_;
 

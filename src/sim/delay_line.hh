@@ -18,7 +18,6 @@
 #ifndef ENZIAN_SIM_DELAY_LINE_HH
 #define ENZIAN_SIM_DELAY_LINE_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -73,21 +72,6 @@ class DelayLine
         tail_ = when;
         if (idle)
             ev_.scheduleReserved(when, seq);
-    }
-
-    /**
-     * Drop every item in flight and disarm; the line is then as if
-     * freshly bound. @return the number of items dropped.
-     */
-    std::size_t
-    clear()
-    {
-        const std::size_t n = fifo_.size();
-        while (!fifo_.empty())
-            fifo_.pop();
-        ev_.cancel();
-        tail_ = 0;
-        return n;
     }
 
   private:

@@ -3,7 +3,7 @@
  * Shared per-direction domain-mode plumbing.
  *
  * Every full-duplex component that participates in parallel domain
- * mode (EciLink, EthernetLink, FaultInjector) grows the same three
+ * mode (EciLink, EthernetLink) grows the same three
  * pieces of state: a source-domain clock per direction, an outbound
  * cross-domain channel per direction, and per-direction staged
  * statistics that fold into the aggregate at epoch barriers in a
@@ -54,6 +54,7 @@ class DirDomainBinding
          Tick pair_lookahead = 0)
     {
         ENZIAN_ASSERT(!bound(), "direction binding bound twice");
+        sched_ = &sched;
         clock_[0] = &d0.queue();
         clock_[1] = &d1.queue();
         if (&d0 != &d1) {
@@ -63,6 +64,8 @@ class DirDomainBinding
     }
 
     bool bound() const { return clock_[0] != nullptr; }
+    /** The scheduler bound to, or null before bind(). */
+    DomainScheduler *scheduler() const { return sched_; }
     /** False when both sides share a domain (local delivery). */
     bool crossDomain() const { return chan_[0] != nullptr; }
 
@@ -72,6 +75,7 @@ class DirDomainBinding
     Tick now(std::size_t dir) const { return clock_[dir]->now(); }
 
   private:
+    DomainScheduler *sched_ = nullptr;
     std::array<EventQueue *, 2> clock_{nullptr, nullptr};
     std::array<CrossDomainChannel *, 2> chan_{nullptr, nullptr};
 };

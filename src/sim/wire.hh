@@ -69,19 +69,6 @@ class Wire
             line_.push(when, std::move(item));
     }
 
-    /**
-     * Drop every item in flight (a link flap); not across domains,
-     * where the items already belong to the channel.
-     * @return the number of items dropped.
-     */
-    std::size_t
-    clear()
-    {
-        ENZIAN_ASSERT(!lane_, "wire '%s' cleared across domains",
-                      what_ ? what_ : "?");
-        return line_.clear();
-    }
-
   private:
     Deliver deliver_;
     const char *what_ = nullptr;

@@ -63,12 +63,15 @@ ProtocolChecker::observe(const TraceRecord &rec)
       case Opcode::IOBLD:
       case Opcode::IOBST: {
         auto key = std::make_pair(src, m.tid);
-        if (outstanding_.count(key)) {
+        if (outstanding_.count(key) || answered_.count(key)) {
             if (retryTolerant_) {
-                // A retransmission of an in-flight request: do not
-                // re-apply its state transitions (an RWBD already
-                // moved the line to Invalid; replaying the dirty-state
-                // check would false-fail).
+                // A retransmission of an in-flight request, or of one
+                // whose answer was already on its way (its timer fired
+                // first): do not re-apply its state transitions (an
+                // RWBD already moved the line to Invalid; replaying
+                // the dirty-state check would false-fail), and do not
+                // wait for the home's replay, which may be lost once
+                // the requester no longer needs it.
                 ++retransmits_;
                 return;
             }
@@ -109,6 +112,8 @@ ProtocolChecker::observe(const TraceRecord &rec)
         }
         const Opcode req = it->second;
         outstanding_.erase(it);
+        if (retryTolerant_)
+            answered_.insert(key);
         if (m.op == Opcode::PEMD) {
             if (req != Opcode::RLDD && req != Opcode::RLDX &&
                 req != Opcode::RLDI)
@@ -139,7 +144,7 @@ ProtocolChecker::observe(const TraceRecord &rec)
       case Opcode::SINV:
       case Opcode::SFWD: {
         auto key = std::make_pair(src, m.tid);
-        if (snoops_.count(key)) {
+        if (snoops_.count(key) || answeredSnoops_.count(key)) {
             if (retryTolerant_) {
                 ++retransmits_;
                 return;
@@ -162,6 +167,8 @@ ProtocolChecker::observe(const TraceRecord &rec)
             return;
         }
         snoops_.erase(it);
+        if (retryTolerant_)
+            answeredSnoops_.insert(key);
         setState(rec, m.src, line,
                  m.op == Opcode::SACKI ? MoesiState::Invalid
                                        : MoesiState::Shared);

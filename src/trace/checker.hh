@@ -38,10 +38,11 @@ class ProtocolChecker
 {
   public:
     /**
-     * Tolerate retransmission artifacts: duplicate request tids,
-     * responses with no outstanding request (a retry raced its
-     * original's reply), reused snoop tids, and duplicate snoop
-     * responses are counted instead of flagged. Used when checking
+     * Tolerate retransmission artifacts: duplicate request tids (also
+     * after the request was answered), responses with no outstanding
+     * request (a retry raced its original's reply), reused snoop
+     * tids, and duplicate snoop responses are counted instead of
+     * flagged. Used when checking
      * traces captured under fault injection, where the recovery path
      * legitimately re-sends messages with the same tid.
      */
@@ -86,6 +87,12 @@ class ProtocolChecker
     std::map<std::pair<int, std::uint32_t>, eci::Opcode> outstanding_;
     /** Outstanding snoops keyed by (home node, tid). */
     std::map<std::pair<int, std::uint32_t>, eci::Opcode> snoops_;
+    /**
+     * Retry-tolerant mode: requests and snoops already answered (tids
+     * are never reused), so a late retransmission is not a new one.
+     */
+    std::set<std::pair<int, std::uint32_t>> answered_;
+    std::set<std::pair<int, std::uint32_t>> answeredSnoops_;
     std::vector<std::string> violations_;
     bool retryTolerant_ = false;
     std::uint64_t retransmits_ = 0;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "base/rng.hh"
@@ -18,6 +19,7 @@
 #include "fault/fault_plan.hh"
 #include "mem/dram_channel.hh"
 #include "net/rdma_engine.hh"
+#include "net/switch.hh"
 #include "net/tcp_stack.hh"
 #include "platform/enzian_machine.hh"
 #include "platform/platform_factory.hh"
@@ -134,7 +136,8 @@ TEST(FaultEciLink, LaneFailureDeratesBandwidthProportionally)
     const double full = link.effectiveBandwidth();
     const std::uint32_t lanes = link.lanes();
 
-    link.failLanes(4);
+    link.failLanes(eq.now(), 4);
+    eq.run();
     EXPECT_EQ(link.lanes(), lanes - 4);
     EXPECT_NEAR(link.effectiveBandwidth(),
                 full * (lanes - 4) / lanes, 1.0);
@@ -143,11 +146,13 @@ TEST(FaultEciLink, LaneFailureDeratesBandwidthProportionally)
     EXPECT_EQ(link.retrains(), 1u);
 
     // Failing more lanes than remain still leaves one lane up.
-    link.failLanes(100);
+    link.failLanes(eq.now(), 100);
+    eq.run();
     EXPECT_EQ(link.lanes(), 1u);
     EXPECT_NEAR(link.effectiveBandwidth(), full / lanes, 1.0);
 
-    link.restoreLanes(lanes);
+    link.restoreLanes(eq.now(), lanes);
+    eq.run();
     EXPECT_EQ(link.lanes(), lanes);
     EXPECT_NEAR(link.effectiveBandwidth(), full, 1.0);
     EXPECT_EQ(link.retrains(), 3u);
@@ -162,7 +167,8 @@ TEST(FaultEciLink, RetrainStallsTraffic)
     const Tick clean = link.send(lineMsg(0));
     eq.run();
 
-    link.failLanes(2);
+    link.failLanes(eq.now(), 2);
+    eq.run();
     const Tick retrain_ends = eq.now() + units::ns(cfg.retrain_ns);
     const Tick delayed = link.send(lineMsg(128));
     // The serializer cannot start before the retrain completes, so
@@ -186,10 +192,11 @@ TEST(FaultEciLink, FlapLosesInFlightAndReconcilesCredits)
     link.send(lineMsg(128));
     link.send(lineMsg(0, mem::NodeId::Cpu));
 
-    link.flap(units::us(5.0));
+    // The receivers drop what was in flight at the flap as it arrives.
+    link.flap(eq.now() + 1, units::us(5.0));
+    eq.run();
     EXPECT_EQ(link.linkFlaps(), 1u);
     EXPECT_EQ(link.creditsReconciled(), 3u);
-    eq.run();
     EXPECT_EQ(delivered, 0u); // everything in flight was lost
 
     // After the flap + retrain the link carries traffic again.
@@ -398,6 +405,55 @@ TEST(FaultTcp, SenderOnlyRecoveryRecoversDroppedSegments)
     EXPECT_EQ(b.bytesReceived(flow), bytes);
     EXPECT_GE(a.segmentsDropped(), 1u);
     EXPECT_GE(a.retransmits(), 1u);
+}
+
+// Reordering alone loses nothing, so a reorder-only plan leaves TCP
+// recovery off: the injector's run is the run the same faults give
+// by hand, with no RTO timers armed.
+TEST(FaultInjector, ReorderOnlyPlanLeavesRecoveryOff)
+{
+    std::istringstream in("seed 4\n"
+                          "fault kind=net-reorder prob=1.0 param=20 "
+                          "at_us=0\n");
+    std::string err;
+    const auto plan = FaultPlan::parse(in, err);
+    ASSERT_TRUE(plan.has_value()) << err;
+
+    // Host segments are 64 KiB: 16 of them, sent once the window is
+    // open.
+    const std::uint64_t bytes = 1024 * 1024;
+    auto run = [&](bool via_injector) {
+        EventQueue eq;
+        net::Switch sw("sw", eq, 2, net::Switch::Config{});
+        net::TcpStack a("tcp0", eq, sw, net::hostTcpConfig(0));
+        net::TcpStack b("tcp1", eq, sw, net::hostTcpConfig(1));
+        std::unique_ptr<FaultInjector> inj;
+        // prob 1.0 reorders every segment whatever the stream draws.
+        Rng rng(4);
+        if (via_injector) {
+            inj = std::make_unique<FaultInjector>("fault", eq, *plan);
+            inj->attachNet(a, b);
+            inj->arm();
+        } else {
+            // The injector's window events, one per stack, by hand.
+            for (net::TcpStack *s : {&a, &b}) {
+                eq.schedule(0, [s, &rng]() {
+                    s->setLossFaults(&rng, 0.0, 1.0, 20.0);
+                });
+            }
+        }
+        const std::uint32_t flow = a.connect(b);
+        bool done = false;
+        eq.schedule(units::us(1.0), [&]() {
+            a.send(flow, bytes, [&done](Tick) { done = true; });
+        });
+        eq.run();
+        EXPECT_TRUE(done);
+        EXPECT_EQ(b.bytesReceived(flow), bytes);
+        EXPECT_EQ(a.segmentsReordered(), 16u);
+        return eq.eventsScheduled();
+    };
+    EXPECT_EQ(run(true), run(false));
 }
 
 // --------------------------------------------------------- RDMA drops

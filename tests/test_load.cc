@@ -17,6 +17,7 @@
 #include "load/load_gen.hh"
 #include "load/testbed.hh"
 #include "obs/json.hh"
+#include "obs/registry.hh"
 #include "obs/slo.hh"
 #include "obs/span_tracer.hh"
 
@@ -114,6 +115,9 @@ struct RunOutcome
     std::uint64_t completed = 0;
     double p99_us = 0.0;
     std::string csv;
+    /** The whole stats registry, exported while the testbed lives. */
+    std::string registry;
+    std::uint64_t injected = 0;
 };
 
 RunOutcome
@@ -143,6 +147,11 @@ runService(TestbedConfig tbc, double rate_rps, double duration_ms,
     std::ostringstream os;
     slo.writeCsv(os);
     out.csv = os.str();
+    std::ostringstream js;
+    obs::Registry::global().exportJson(js);
+    out.registry = js.str();
+    if (bed.injector())
+        out.injected = bed.injector()->injectedTotal();
     return out;
 }
 
@@ -246,6 +255,60 @@ TEST(Sweep, RdmaDropPlanDegradesTailLatencyButNotCompletion)
     // A dropped request recovers via the 50 us retry timeout, so the
     // faulted tail sits well above the clean ~5 us read latency.
     EXPECT_GT(faulted.p99_us, 2.0 * clean.p99_us);
+}
+
+// ECI drops, DRAM ECC and a BMC rail glitch on the sharded machine:
+// the injector finds the scheduler through the fabric, so sweeps and
+// the registry are the same at 1 and 4 threads.
+TEST(Sweep, FaultPlanIsThreadCountInvariant)
+{
+    std::istringstream spec(
+        "seed 12\n"
+        "fault kind=eci-msg-drop prob=0.05 at_us=0\n"
+        "fault kind=dram-ecc-correctable prob=0.1 target=1 at_us=0\n"
+        "fault kind=bmc-rail-glitch target=0 at_us=100\n");
+    std::string err;
+    auto plan = fault::FaultPlan::parse(spec, err);
+    ASSERT_TRUE(plan) << err;
+
+    auto sweep = [&](std::uint32_t threads) {
+        SweepConfig cfg;
+        cfg.testbed.service = ServiceKind::Gbdt;
+        cfg.testbed.threads = threads;
+        cfg.testbed.plan = &*plan;
+        cfg.duration = units::ms(5.0);
+        cfg.auto_points = 3;
+        return runSweep(cfg);
+    };
+    const SweepResult s1 = sweep(1);
+    const SweepResult s4 = sweep(4);
+    ASSERT_EQ(s1.points.size(), 3u);
+    ASSERT_EQ(s4.points.size(), s1.points.size());
+    EXPECT_EQ(s1.knee, s4.knee);
+    for (std::size_t i = 0; i < s1.points.size(); ++i) {
+        const SweepPoint &a = s1.points[i];
+        const SweepPoint &b = s4.points[i];
+        EXPECT_EQ(a.offered, b.offered) << i;
+        EXPECT_EQ(a.completed, b.completed) << i;
+        EXPECT_EQ(a.p50_us, b.p50_us) << i;
+        EXPECT_EQ(a.p99_us, b.p99_us) << i;
+        EXPECT_EQ(a.p999_us, b.p999_us) << i;
+        EXPECT_EQ(a.max_us, b.max_us) << i;
+        EXPECT_EQ(a.slo_ok, b.slo_ok) << i;
+    }
+
+    TestbedConfig tbc;
+    tbc.service = ServiceKind::Gbdt;
+    tbc.threads = 1;
+    const RunOutcome t1 = runService(tbc, 30000.0, 5.0, &*plan);
+    tbc.threads = 4;
+    const RunOutcome t4 = runService(tbc, 30000.0, 5.0, &*plan);
+    EXPECT_EQ(t1.completed, t1.offered);
+    // The ECC window and the glitch; GBDT sends nothing over ECI.
+    EXPECT_EQ(t1.injected, 2u);
+    EXPECT_EQ(t1.injected, t4.injected);
+    EXPECT_EQ(t1.csv, t4.csv);
+    EXPECT_EQ(t1.registry, t4.registry);
 }
 
 // ------------------------------------------------- per-request tracing

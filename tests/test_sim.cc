@@ -591,26 +591,6 @@ TEST(DelayLine, DestroyedWithItemsFreesItsSlot)
     EXPECT_EQ(eq.slotPoolSize(), 1u);
 }
 
-TEST(DelayLine, ClearDropsEveryItemAndDisarms)
-{
-    EventQueue eq;
-    std::vector<std::pair<Tick, int>> got;
-    sim::DelayLine<int> line;
-    line.init(eq, [&](Tick when, int &&v) { got.emplace_back(when, v); });
-    line.push(10, 1);
-    line.push(20, 2);
-    line.push(20, 3);
-    EXPECT_EQ(line.clear(), 3u);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.run(), 0u);
-    EXPECT_TRUE(got.empty());
-    EXPECT_EQ(line.clear(), 0u);
-    // The line carries traffic again, from any tick.
-    line.push(5, 4);
-    eq.run();
-    EXPECT_EQ(got, (std::vector<std::pair<Tick, int>>{{5, 4}}));
-}
-
 TEST(DelayLineDeathTest, PushBeforeTailPanics)
 {
     EventQueue eq;

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <functional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -424,10 +425,9 @@ TEST(ParallelChaos, RegistryBitIdenticalAcrossThreadCounts)
     cfg.ops = 200;
     cfg.lines = 16;
     const auto plan = lossyPlan();
-    ASSERT_TRUE(fault::planParallelSafe(plan));
 
-    const auto r1 = fault::runChaosParallel(plan, cfg, 1);
-    const auto r4 = fault::runChaosParallel(plan, cfg, 4);
+    const auto r1 = fault::runChaos(plan, cfg, 1);
+    const auto r4 = fault::runChaos(plan, cfg, 4);
     EXPECT_TRUE(r1.ok) << (r1.violations.empty()
                                ? std::string()
                                : r1.violations.front());
@@ -441,15 +441,48 @@ TEST(ParallelChaos, RegistryBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(r1.report, r4.report);
 }
 
-TEST(ParallelChaos, RejectsNonDomainSafePlans)
+TEST(ParallelChaos, EveryFaultKindIsThreadCountInvariant)
 {
-    fault::FaultPlan plan;
-    plan.seed = 9;
-    fault::FaultSpec ecc;
-    ecc.kind = fault::FaultKind::DramEccCorrectable;
-    ecc.prob = 0.01;
-    plan.faults.push_back(ecc);
-    EXPECT_FALSE(fault::planParallelSafe(plan));
+    std::istringstream in(
+        "seed 31\n"
+        "fault kind=eci-lane-fail param=4 target=0 at_us=5 until_us=40\n"
+        "fault kind=eci-link-flap param=2 target=0 at_us=30\n"
+        "fault kind=eci-msg-drop prob=0.03 at_us=1 until_us=200\n"
+        "fault kind=eci-msg-corrupt prob=0.03 at_us=1 until_us=200\n"
+        "fault kind=dram-ecc-correctable prob=0.05 target=0 at_us=1 "
+        "until_us=200\n"
+        "fault kind=dram-ecc-uncorrectable prob=0.02 target=1 at_us=1 "
+        "until_us=200\n"
+        "fault kind=net-loss prob=0.05 at_us=1 until_us=100\n"
+        "fault kind=net-reorder prob=0.1 param=20 at_us=1 "
+        "until_us=100\n"
+        "fault kind=rdma-drop prob=0.1 at_us=1 until_us=100\n"
+        "fault kind=bmc-rail-glitch target=1 at_us=20\n");
+    std::string err;
+    const auto plan = fault::FaultPlan::parse(in, err);
+    ASSERT_TRUE(plan.has_value()) << err;
+    fault::ChaosConfig cfg;
+    cfg.seed = 31;
+    cfg.ops = 300;
+    cfg.lines = 16;
+    cfg.with_net = true;
+    cfg.with_rdma = true;
+    cfg.with_bmc = true;
+
+    const auto r1 = fault::runChaos(*plan, cfg, 1);
+    const auto r4 = fault::runChaos(*plan, cfg, 4);
+    ASSERT_TRUE(r1.ok) << r1.violations.front() << "\n" << r1.report;
+    ASSERT_TRUE(r4.ok) << r4.violations.front();
+    EXPECT_EQ(r1.opsCompleted, r1.opsIssued);
+    for (std::size_t k = 0; k < fault::faultKindCount; ++k) {
+        const std::string kind =
+            fault::toString(static_cast<fault::FaultKind>(k));
+        EXPECT_NE(r1.report.find("  " + kind + ": "), std::string::npos)
+            << kind << " never injected:\n"
+            << r1.report;
+    }
+    EXPECT_EQ(r1.report, r4.report);
+    EXPECT_EQ(r1.registryJson, r4.registryJson);
 }
 
 } // namespace

@@ -184,6 +184,28 @@ TEST(Checker, FlagsTidReuse)
     EXPECT_FALSE(c.clean());
 }
 
+// Under recovery a requester's timer can fire while the answer is
+// still queued behind a retrain; the answer completes the request, and
+// the home's replay to the retransmission may then be lost.
+TEST(Checker, RetryTolerantAcceptsRetransmissionAfterItsAnswer)
+{
+    EciTrace t;
+    t.record(0, msg(eci::Opcode::RSTT, 23, 0xa80, mem::NodeId::Fpga));
+    t.record(10, msg(eci::Opcode::PACK, 23, 0xa80));
+    t.record(20, msg(eci::Opcode::RSTT, 23, 0xa80, mem::NodeId::Fpga));
+    ProtocolChecker tolerant;
+    tolerant.setRetryTolerant(true);
+    tolerant.check(t);
+    tolerant.finalize();
+    EXPECT_TRUE(tolerant.clean());
+    EXPECT_EQ(tolerant.retransmits(), 1u);
+    // Without recovery nothing re-sends, so the trace is a violation.
+    ProtocolChecker strict;
+    strict.check(t);
+    strict.finalize();
+    EXPECT_FALSE(strict.clean());
+}
+
 TEST(Checker, TracksInferredStates)
 {
     EciTrace t;

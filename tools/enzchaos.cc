@@ -4,9 +4,11 @@
  * line and report what was injected and what recovered.
  *
  * Loads a FaultPlan from a text spec (or generates one from a seed),
- * runs the shared chaos scenario — a small Enzian machine under
- * randomized coherent, TCP and RDMA traffic with the invariant
- * monitor attached — and dumps per-fault injection/recovery counts.
+ * runs the shared chaos scenario — a small Enzian machine, sharded
+ * into a CPU and an FPGA timing domain, under randomized coherent,
+ * TCP and RDMA traffic with the invariant monitor attached — and
+ * dumps per-fault injection/recovery counts. Every fault kind runs at
+ * every thread count, and the output is the same for all of them.
  * Exits non-zero if any invariant was violated, any acked write read
  * back wrong, or any traffic failed to complete.
  *
@@ -19,11 +21,8 @@
  *   enzchaos --no-net            skip TCP side traffic
  *   enzchaos --no-rdma           skip RDMA side traffic
  *   enzchaos --with-bmc          attach the BMC for rail glitches
- *   enzchaos --threads N         run the machine as parallel timing
- *                                domains on N threads (also honors
- *                                ENZIAN_THREADS; needs a domain-safe
- *                                plan, else falls back to the legacy
- *                                single-queue run with a warning)
+ *   enzchaos --threads N         run the timing domains on N threads
+ *                                (default 1, or ENZIAN_THREADS)
  *   enzchaos --dump-plan         print the effective plan and exit
  *   enzchaos --json [FILE]       also dump the full stats registry JSON
  */
@@ -81,7 +80,7 @@ main(int argc, char **argv)
     bool dump_plan = false;
     bool want_json = false;
     std::string json_path;
-    std::uint32_t threads = 0;
+    std::uint32_t threads = 1;
     if (const char *env = std::getenv("ENZIAN_THREADS");
         env && *env)
         threads = static_cast<std::uint32_t>(
@@ -152,20 +151,7 @@ main(int argc, char **argv)
     for (const auto &s : plan->faults)
         std::printf("  %s\n", s.toString().c_str());
 
-    if (threads > 0 && !fault::planParallelSafe(*plan)) {
-        std::fprintf(stderr,
-                     "enzchaos: plan is not domain-safe (only ECI "
-                     "msg drop/corrupt can run in parallel); "
-                     "falling back to the single-queue machine\n");
-        threads = 0;
-    }
-    if (threads > 0)
-        std::printf("parallel: %u thread(s), timing-domain machine\n",
-                    threads);
-
-    const fault::ChaosResult r =
-        threads > 0 ? fault::runChaosParallel(*plan, cfg, threads)
-                    : fault::runChaos(*plan, cfg);
+    const fault::ChaosResult r = fault::runChaos(*plan, cfg, threads);
 
     std::printf("\n%s\n", r.report.c_str());
     std::printf("ops: %llu issued, %llu completed\n",
