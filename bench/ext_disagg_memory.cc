@@ -9,9 +9,10 @@
  * beats shipping the table.
  *
  * The table load and the full-read baseline are one-sided RDMA into
- * the server node's FPGA DRAM, on a second port of each node. Server,
- * client and both RDMA ends run on their own node's FPGA domain;
- * honours ENZIAN_THREADS, with the same rows at any thread count.
+ * the server node's FPGA DRAM, and the scan is a two-sided request to
+ * the same RDMA target, so each node uses one port. Server and client
+ * run on their own node's FPGA domain; honours ENZIAN_THREADS, with
+ * the same rows at any thread count.
  */
 
 #include "bench_common.hh"
@@ -20,7 +21,6 @@
 
 #include "cluster/disagg_memory.hh"
 #include "cluster/enzian_cluster.hh"
-#include "net/rdma_engine.hh"
 
 using namespace enzian;
 using namespace enzian::cluster;
@@ -55,15 +55,7 @@ main()
                                   scfg);
         DisaggMemoryClient client("cli", rack.node(1).fpgaEventq(),
                                   rack.network(), rack.portOf(1), server);
-        net::DirectDramPath dram(rack.node(0).fpgaMem());
-        net::RdmaTarget::Config tcfg;
-        tcfg.port = rack.portOf(0, 1);
-        tcfg.request_proc_ns = scfg.request_proc_ns;
-        net::RdmaTarget target("srv.rdma", rack.node(0).fpgaEventq(),
-                               rack.network(), dram, tcfg);
-        net::RdmaInitiator rdma("cli.rdma", rack.node(1).fpgaEventq(),
-                                rack.network(), rack.portOf(1, 1),
-                                tcfg.port);
+        net::RdmaInitiator &rdma = client.rdma();
 
         std::vector<std::uint8_t> table(rows * row);
         for (std::uint64_t k = 0; k < rows; ++k)
@@ -83,7 +75,7 @@ main()
 
         Tick scan_t = 0;
         std::uint64_t wire = 0;
-        const Tick t0 = client.now();
+        const Tick t0 = rdma.now();
         client.scanFilter(0, row, rows, pred,
                           [&](Tick t, std::vector<std::uint8_t>,
                               std::uint64_t w) {
@@ -94,7 +86,7 @@ main()
 
         std::vector<std::uint8_t> full(rows * row);
         Tick read_t = 0;
-        const Tick t1 = client.now();
+        const Tick t1 = rdma.now();
         rdma.read(0, full.data(), full.size(),
                   [&](Tick t) { read_t = t - t1; });
         rack.run();

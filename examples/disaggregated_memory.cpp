@@ -2,11 +2,11 @@
  * @file
  * Smart disaggregated memory on an Enzian cluster (paper section 6).
  *
- * Node 0 exports its FPGA DRAM as network-attached memory: plain
- * reads and writes are one-sided RDMA, and the disaggregated-memory
- * server adds operator pushdown (the Farview idea: a database buffer
- * cache where selection runs *at the memory*); node 1 is the compute
- * node. The example also extends cache coherence across the rack:
+ * Node 0 exports its FPGA DRAM as network-attached memory through one
+ * RDMA target: plain reads and writes are one-sided RDMA, and
+ * operator pushdown is a two-sided request whose scan runs at the
+ * target (the Farview idea: a database buffer cache where selection
+ * runs *at the memory*); node 1 is the compute node. The example also extends cache coherence across the rack:
  * node 1's CPU caches node 0's memory through the FPGA bridge, which
  * carries its lines over RDMA too. Every service runs on its node's
  * FPGA timing domain, and rack.run() drives them all.
@@ -20,7 +20,6 @@
 #include "cluster/disagg_memory.hh"
 #include "cluster/eci_bridge.hh"
 #include "cluster/enzian_cluster.hh"
-#include "net/rdma_engine.hh"
 
 using namespace enzian;
 using namespace enzian::cluster;
@@ -43,17 +42,6 @@ main()
                               scfg);
     DisaggMemoryClient db("db", rack.node(1).fpgaEventq(),
                           rack.network(), rack.portOf(1), server);
-    // Plain reads and writes: RDMA into the same FPGA DRAM.
-    net::DirectDramPath dram(rack.node(0).fpgaMem());
-    net::RdmaTarget::Config tcfg;
-    tcfg.port = rack.portOf(0, 1);
-    tcfg.request_proc_ns = scfg.request_proc_ns;
-    net::RdmaTarget farview_rdma("farview.rdma",
-                                 rack.node(0).fpgaEventq(),
-                                 rack.network(), dram, tcfg);
-    net::RdmaInitiator db_rdma("db.rdma", rack.node(1).fpgaEventq(),
-                               rack.network(), rack.portOf(1, 1),
-                               tcfg.port);
 
     // A 1M-row table of {key, payload} pairs in remote memory.
     constexpr std::uint32_t row = 16;
@@ -65,8 +53,8 @@ main()
             std::memcpy(&table[k * row + 8], &k, 8);
         }
         bool loaded = false;
-        db_rdma.write(0, table.data(), table.size(),
-                      [&](Tick) { loaded = true; });
+        db.rdma().write(0, table.data(), table.size(),
+                        [&](Tick) { loaded = true; });
         rack.run();
         std::printf("loaded %llu MiB table into node0's FPGA DRAM: %s\n",
                     static_cast<unsigned long long>(table.size() >> 20),
@@ -81,7 +69,7 @@ main()
 
     Tick scan_t = 0;
     std::uint64_t scan_wire = 0, match_rows = 0;
-    const Tick t0 = db.now();
+    const Tick t0 = db.rdma().now();
     db.scanFilter(0, row, rows, pred,
                   [&](Tick t, std::vector<std::uint8_t> m,
                       std::uint64_t wire) {
@@ -93,9 +81,9 @@ main()
 
     std::vector<std::uint8_t> full(rows * row);
     Tick read_t = 0;
-    const Tick t1 = db.now();
-    db_rdma.read(0, full.data(), full.size(),
-                 [&](Tick t) { read_t = t - t1; });
+    const Tick t1 = db.rdma().now();
+    db.rdma().read(0, full.data(), full.size(),
+                   [&](Tick t) { read_t = t - t1; });
     rack.run();
 
     std::printf("\nselect 1%% of %llu rows:\n",
@@ -114,13 +102,13 @@ main()
     std::printf("\ncoherence bridge: node1's CPU caches node0's "
                 "memory\n");
     EciBridgeTarget::Config bcfg;
-    bcfg.port = rack.portOf(0, 2);
+    bcfg.port = rack.portOf(0, 1);
     EciBridgeTarget bridge_t("bridge.t", rack.node(0).fpgaEventq(),
                              rack.network(), rack.node(0).fpgaRemote(),
                              bcfg);
     eci::DramLineSource fb(rack.node(1).fpgaMem(), rack.node(1).map());
     EciBridgeSource::Config bscfg;
-    bscfg.port = rack.portOf(1, 2);
+    bscfg.port = rack.portOf(1, 1);
     bscfg.window_base = mem::AddressMap::fpgaDramBase + (128ull << 20);
     bscfg.window_size = 16ull << 20;
     EciBridgeSource bridge_s("bridge.s", rack.node(1).fpgaEventq(),

@@ -13,7 +13,8 @@ namespace enzian::cluster {
 
 namespace {
 
-constexpr std::uint32_t headerBytes = 64;
+/** Two-sided RDMA op code of the scan handler. */
+constexpr net::RdmaOp opScan{32};
 
 } // namespace
 
@@ -53,72 +54,56 @@ DisaggMemoryServer::DisaggMemoryServer(std::string name, EventQueue &eq,
                                        net::Switch &sw,
                                        mem::MemoryController &fpga_mem,
                                        const Config &cfg)
-    : SimObject(std::move(name), eq), sw_(sw), mem_(fpga_mem), cfg_(cfg)
+    : SimObject(name, eq), mem_(fpga_mem), cfg_(cfg), path_(fpga_mem),
+      rdma_(name + ".rdma", eq, sw, path_,
+            net::RdmaTarget::Config{cfg.port, cfg.request_proc_ns})
 {
-    sw_.setEndpoint(cfg_.port, [this](Tick, net::Frame &&frame) {
-        eventq().scheduleDelta(
-            units::ns(cfg_.request_proc_ns),
-            [this, body = std::move(frame.body)]() mutable {
-                serve(std::move(body.get<WireRequest>()));
-            },
-            "disagg-request");
+    rdma_.setHandler(opScan, [this](net::RdmaTarget::WireRequest &req) {
+        return scan(req);
     });
     stats().addCounter("requests", &served_);
     stats().addCounter("rows_scanned", &scanned_);
     stats().addCounter("bytes_returned", &returned_);
 }
 
-void
-DisaggMemoryServer::serve(WireRequest &&req)
+Tick
+DisaggMemoryServer::scan(net::RdmaTarget::WireRequest &req)
 {
     served_.inc();
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(req.row_bytes) * req.row_count;
-    ENZIAN_ASSERT(req.off + bytes <= cfg_.region_size,
+    const Predicate pred{req.predColumn, static_cast<FilterOp>(req.predOp),
+                         req.predOperand};
+    pred.validate(req.rowBytes);
+    ENZIAN_ASSERT(req.len % req.rowBytes == 0 &&
+                      req.len <= cfg_.region_size &&
+                      req.off <= cfg_.region_size - req.len,
                   "disagg scan out of region");
-    req.pred.validate(req.row_bytes);
+    const std::uint64_t row_count = req.len / req.rowBytes;
     // The scan engine streams rows from DRAM and filters in the
     // fabric: time = max(DRAM stream, engine rate).
-    std::vector<std::uint8_t> rows(bytes);
-    const Tick dram_done = mem_.read(now(), req.off, rows.data(), bytes).done;
-    const double engine_s = static_cast<double>(req.row_count) /
+    std::vector<std::uint8_t> rows(req.len);
+    const Tick dram_done =
+        mem_.read(now(), req.off, rows.data(), req.len).done;
+    const double engine_s = static_cast<double>(row_count) /
                             (cfg_.rows_per_cycle * cfg_.clock_hz);
-    const Tick ready = std::max(dram_done, now() + units::sec(engine_s));
 
-    std::vector<std::uint8_t> matches;
-    for (std::uint64_t r = 0; r < req.row_count; ++r) {
-        const std::uint8_t *row = rows.data() + r * req.row_bytes;
-        if (req.pred.matches(row))
-            matches.insert(matches.end(), row, row + req.row_bytes);
+    req.data.clear();
+    for (std::uint64_t r = 0; r < row_count; ++r) {
+        const std::uint8_t *row = rows.data() + r * req.rowBytes;
+        if (pred.matches(row))
+            req.data.insert(req.data.end(), row, row + req.rowBytes);
     }
-    scanned_.inc(req.row_count);
-    returned_.inc(matches.size());
-    req.data = std::move(matches);
-
-    net::Payload body;
-    body.emplace<WireRequest>(std::move(req));
-    eventq().schedule(
-        ready,
-        [this, body = std::move(body)]() mutable {
-            const auto &rsp = body.get<WireRequest>();
-            const std::uint64_t wire = headerBytes + rsp.data.size();
-            const std::uint32_t dst = rsp.srcPort;
-            sw_.sendFrom(cfg_.port,
-                         net::Frame{wire, dst, std::move(body)});
-        },
-        "disagg-scan-done");
+    scanned_.inc(row_count);
+    returned_.inc(req.data.size());
+    req.ok = true;
+    return std::max(dram_done, now() + units::sec(engine_s));
 }
 
 DisaggMemoryClient::DisaggMemoryClient(std::string name, EventQueue &eq,
                                        net::Switch &sw,
                                        std::uint32_t port,
                                        DisaggMemoryServer &server)
-    : SimObject(std::move(name), eq), sw_(sw), port_(port),
-      server_(server)
+    : rdma_(std::move(name), eq, sw, port, server.config().port)
 {
-    sw_.setEndpoint(port_, [this](Tick when, net::Frame &&frame) {
-        onFrame(when, std::move(frame));
-    });
 }
 
 void
@@ -127,29 +112,21 @@ DisaggMemoryClient::scanFilter(Addr off, std::uint32_t row_bytes,
                                const Predicate &pred, ScanDone done)
 {
     pred.validate(row_bytes);
-    DisaggMemoryServer::WireRequest req;
+    net::RdmaTarget::WireRequest req;
+    req.op = opScan;
     req.off = off;
-    req.row_bytes = row_bytes;
-    req.row_count = row_count;
-    req.pred = pred;
-    req.id = nextId_++;
-    req.srcPort = port_;
-    pending_.emplace(req.id, std::move(done));
-    sw_.sendFrom(port_, net::makeFrame(headerBytes, server_.config().port,
-                                       std::move(req)));
-}
-
-void
-DisaggMemoryClient::onFrame(Tick when, net::Frame &&frame)
-{
-    auto &rsp = frame.body.get<DisaggMemoryServer::WireRequest>();
-    auto it = pending_.find(rsp.id);
-    ENZIAN_ASSERT(it != pending_.end(),
-                  "disagg response for unknown id %llu",
-                  static_cast<unsigned long long>(rsp.id));
-    ScanDone done = std::move(it->second);
-    pending_.erase(it);
-    done(when, std::move(rsp.data), frame.bytes);
+    req.len = row_count * row_bytes;
+    req.rowBytes = row_bytes;
+    req.predColumn = pred.column_offset;
+    req.predOp = static_cast<std::uint8_t>(pred.op);
+    req.predOperand = pred.operand;
+    rdma_.call(std::move(req),
+               [done = std::move(done)](Tick t, bool,
+                                        std::vector<std::uint8_t> rows) {
+                   const std::uint64_t wire =
+                       net::rdmaHeaderBytes + rows.size();
+                   done(t, std::move(rows), wire);
+               });
 }
 
 } // namespace enzian::cluster

@@ -3,7 +3,8 @@
  * RDMA engine implementation.
  *
  * Requests and responses travel as WireRequest frame bodies in
- * correctly sized frames, so all timing is accounted.
+ * correctly sized frames (header plus payload), so all timing is
+ * accounted.
  */
 
 #include "net/rdma_engine.hh"
@@ -124,6 +125,17 @@ RdmaTarget::RdmaTarget(std::string name, EventQueue &eq, Switch &sw,
 }
 
 void
+RdmaTarget::setHandler(RdmaOp op, Handler h)
+{
+    ENZIAN_ASSERT(op != RdmaOp::Read && op != RdmaOp::Write,
+                  "Read and Write are one-sided");
+    const auto code = static_cast<std::size_t>(op);
+    if (handlers_.size() <= code)
+        handlers_.resize(code + 1);
+    handlers_[code] = std::move(h);
+}
+
+void
 RdmaTarget::setFaults(Rng *rng, double response_drop_prob)
 {
     faultRng_ = rng;
@@ -153,7 +165,7 @@ RdmaTarget::serve(WireRequest &&wr)
                       ENZIAN_FLOW_STEP(name(), "read", t, req->flowId);
                       respond(std::move(*req));
                   });
-    } else {
+    } else if (req->op == RdmaOp::Write) {
         mem_.write(req->off, req->data.data(), req->len,
                    [this, req, t0](Tick t) {
                        service_.sample(units::toNanos(t - t0));
@@ -163,6 +175,20 @@ RdmaTarget::serve(WireRequest &&wr)
                        req->data.clear(); // the response carries none
                        respond(std::move(*req));
                    });
+    } else {
+        const auto code = static_cast<std::size_t>(req->op);
+        ENZIAN_ASSERT(code < handlers_.size() && handlers_[code],
+                      "no handler for RDMA op %zu", code);
+        const Tick ready = std::max(handlers_[code](*req), t0);
+        service_.sample(units::toNanos(ready - t0));
+        eventq().schedule(
+            ready,
+            [this, req, t0, ready]() {
+                ENZIAN_SPAN(name(), "call", t0, ready);
+                ENZIAN_FLOW_STEP(name(), "call", ready, req->flowId);
+                respond(std::move(*req));
+            },
+            "rdma-call-reply");
     }
 }
 
@@ -232,13 +258,13 @@ RdmaInitiator::readFrom(std::uint32_t target_port, Addr off,
                         std::uint8_t *dst, std::uint64_t len, Done done)
 {
     Pending p;
+    p.req.op = RdmaOp::Read;
+    p.req.off = off;
+    p.req.len = len;
+    p.req.flowId = obs::currentFlowId();
     p.dst = dst;
     p.done = std::move(done);
     p.target = target_port;
-    p.op = RdmaOp::Read;
-    p.off = off;
-    p.len = len;
-    p.flowId = obs::currentFlowId();
     issue(std::move(p));
 }
 
@@ -248,13 +274,26 @@ RdmaInitiator::writeTo(std::uint32_t target_port, Addr off,
                        Done done)
 {
     Pending p;
+    p.req.op = RdmaOp::Write;
+    p.req.off = off;
+    p.req.len = len;
+    p.req.data.assign(src, src + len);
+    p.req.flowId = obs::currentFlowId();
     p.done = std::move(done);
     p.target = target_port;
-    p.op = RdmaOp::Write;
-    p.off = off;
-    p.len = len;
-    p.data.assign(src, src + len);
-    p.flowId = obs::currentFlowId();
+    issue(std::move(p));
+}
+
+void
+RdmaInitiator::call(RdmaTarget::WireRequest req, CallDone done)
+{
+    ENZIAN_ASSERT(req.op != RdmaOp::Read && req.op != RdmaOp::Write,
+                  "a call needs a handler op code");
+    Pending p;
+    p.req = std::move(req);
+    p.req.flowId = obs::currentFlowId();
+    p.callDone = std::move(done);
+    p.target = targetPort_;
     issue(std::move(p));
 }
 
@@ -262,20 +301,13 @@ void
 RdmaInitiator::issue(Pending p)
 {
     const std::uint64_t id = nextId_++;
-    RdmaTarget::WireRequest req;
-    req.op = p.op;
-    req.off = p.off;
-    req.len = p.len;
+    // Without recovery there is no retry, so the payload moves into
+    // the frame; the header fields stay behind in p.req either way.
+    RdmaTarget::WireRequest req =
+        recoveryTimeout_ ? p.req : std::move(p.req);
     req.srcPort = port_;
     req.id = id;
-    req.flowId = p.flowId;
     p.issued = now();
-    if (p.op == RdmaOp::Write) {
-        if (recoveryTimeout_)
-            req.data = p.data; // keep the payload for retries
-        else
-            req.data = std::move(p.data);
-    }
     if (recoveryTimeout_) {
         const Tick delay =
             recoveryTimeout_ << std::min<std::uint32_t>(p.attempts, 4);
@@ -283,9 +315,8 @@ RdmaInitiator::issue(Pending p)
             delay, [this, id]() { onTimeout(id); }, "rdma-retry");
         req.expires = now() + delay;
     }
-    Frame frame = makeFrame(
-        (p.op == RdmaOp::Write ? p.len : 0) + rdmaHeaderBytes, p.target,
-        std::move(req));
+    Frame frame = makeFrame(rdmaHeaderBytes + req.data.size(), p.target,
+                            std::move(req));
     pending_.emplace(id, std::move(p));
     // A dropped request never reaches the wire, but the bookkeeping
     // above stays intact so the timeout recovers it.
@@ -342,13 +373,16 @@ RdmaInitiator::onFrame(Tick when, Frame &&frame)
     pending_.erase(it);
     eventq().cancel(p.retryEv);
     if (p.dst) {
-        ENZIAN_ASSERT(rsp.data.size() == p.len,
+        ENZIAN_ASSERT(rsp.data.size() == p.req.len,
                       "read completion without payload");
         std::memcpy(p.dst, rsp.data.data(), rsp.data.size());
     }
     ENZIAN_SPAN(name(), "req", p.issued, when);
-    ENZIAN_FLOW_STEP(name(), "req", when, p.flowId);
-    p.done(when);
+    ENZIAN_FLOW_STEP(name(), "req", when, p.req.flowId);
+    if (p.callDone)
+        p.callDone(when, rsp.ok, std::move(rsp.data));
+    else
+        p.done(when);
 }
 
 } // namespace enzian::net

@@ -1,6 +1,6 @@
 /**
  * @file
- * One-sided RDMA (StRoM-style) engine.
+ * RDMA (StRoM-style) engine.
  *
  * Reproduces the structure of the paper's Figure 8 experiment: a
  * request generator (the Xilinx VCU118 in the paper) issues 1-sided
@@ -13,6 +13,14 @@
  *  - PcieHostPath: host memory reached with PCIe DMA ("Alveo Host");
  *  - NicDmaPath (rnic_model.hh): an ASIC RNIC's DMA pipeline
  *    ("Mellanox Host").
+ *
+ * As in StRoM, a target can also run small kernels at the NIC: a
+ * two-sided request names a handler registered on the target, which
+ * computes a reply (the FPGA KV store's get/put/del, the
+ * disaggregated-memory pushdown scan). Both kinds share one wire
+ * record, one request table and one timeout-and-retry path. A retry
+ * runs the handler again, so two-sided requests are at-least-once, as
+ * one-sided writes are.
  */
 
 #ifndef ENZIAN_NET_RDMA_ENGINE_HH
@@ -122,7 +130,11 @@ class PcieHostPath : public MemoryPath
     Addr stagingBase_;
 };
 
-/** RDMA operation kinds. */
+/**
+ * RDMA operation codes. Read and Write are one-sided; every other
+ * code names a two-sided request served by the handler registered for
+ * it with RdmaTarget::setHandler().
+ */
 enum class RdmaOp : std::uint8_t { Read = 1, Write = 2 };
 
 /** The target-side RDMA engine attached to a switch port. */
@@ -159,12 +171,13 @@ class RdmaTarget : public SimObject
     /**
      * The body of an RDMA frame. A request travels to the target in
      * it, and the target sends the same record back as the response,
-     * carrying the read data.
+     * carrying the read data or a handler's reply.
      */
     struct WireRequest
     {
         RdmaOp op = RdmaOp::Read;
         Addr off = 0;
+        /** Bytes the request reads, writes or scans. */
         std::uint64_t len = 0;
         std::uint32_t srcPort = 0;
         /** Attempt id, unique per initiator; a retry gets a new one. */
@@ -176,19 +189,48 @@ class RdmaTarget : public SimObject
          * abandoned the attempt.
          */
         Tick expires = kMaxTick;
-        std::vector<std::uint8_t> data; // write payload / read result
+        /** Write or call payload out; read data or reply back. */
+        std::vector<std::uint8_t> data;
         /** Causal flow id of the serving request (0 = untraced). */
         std::uint64_t flowId = 0;
+        // -- two-sided requests: handler arguments and status ------
+        /** Key of a KV request. */
+        std::uint64_t key = 0;
+        /** Row size of a scan over [off, off + len). */
+        std::uint32_t rowBytes = 0;
+        /**
+         * Scan predicate: the 8-byte column at row offset predColumn
+         * compared with predOperand under comparison code predOp.
+         */
+        std::uint32_t predColumn = 0;
+        std::uint8_t predOp = 0;
+        std::uint64_t predOperand = 0;
+        /** The handler's status, returned with the reply. */
+        bool ok = false;
     };
+
+    /**
+     * A two-sided request's handler. It runs at the target once the
+     * request is parsed (request_proc_ns after arrival), reads its
+     * arguments from the header fields and `data`, leaves the reply in
+     * `data`, sets `ok`, and returns the tick at which the reply is
+     * ready to leave.
+     */
+    using Handler = std::function<Tick(WireRequest &)>;
+
+    /** Serve requests carrying @p op (neither Read nor Write) with @p h. */
+    void setHandler(RdmaOp op, Handler h);
 
   private:
     void serve(WireRequest &&wr);
-    /** Send @p req, holding any read data, back as the response. */
+    /** Send @p req, holding any read data or reply, back as the response. */
     void respond(WireRequest &&req);
 
     Switch &sw_;
     MemoryPath &mem_;
     Config cfg_;
+    /** Two-sided handlers, indexed by op code. */
+    std::vector<Handler> handlers_;
     /** Response-drop fault stream; nullptr = no faults. */
     Rng *faultRng_ = nullptr;
     double rspDropProb_ = 0.0;
@@ -205,6 +247,9 @@ class RdmaInitiator : public SimObject
 {
   public:
     using Done = std::function<void(Tick)>;
+    /** Two-sided completion: (tick, the handler's status, reply). */
+    using CallDone =
+        std::function<void(Tick, bool, std::vector<std::uint8_t>)>;
 
     RdmaInitiator(std::string name, EventQueue &eq, Switch &sw,
                   std::uint32_t port, std::uint32_t target_port);
@@ -228,6 +273,15 @@ class RdmaInitiator : public SimObject
     /** As write(), but against the target on @p target_port. */
     void writeTo(std::uint32_t target_port, Addr off,
                  const std::uint8_t *src, std::uint64_t len, Done done);
+
+    /**
+     * Two-sided request to the default target. @p req carries the op
+     * code of a handler registered there, the handler's header
+     * arguments and any payload in `data`; the initiator fills in the
+     * rest. A retry runs the handler again: idempotent handlers are
+     * safe, others may see a request twice.
+     */
+    void call(RdmaTarget::WireRequest req, CallDone done);
 
     /**
      * Arm timeout-based recovery: an unanswered request is abandoned
@@ -266,19 +320,21 @@ class RdmaInitiator : public SimObject
   private:
     struct Pending
     {
+        /**
+         * The request each attempt sends under a fresh id; its payload
+         * is kept for retries only when recovery is on.
+         */
+        RdmaTarget::WireRequest req;
+        /** Read destination. */
         std::uint8_t *dst = nullptr;
+        /** One-sided completion. */
         Done done;
+        /** Two-sided completion. */
+        CallDone callDone;
         /** Destination switch port of this op's target. */
         std::uint32_t target = 0;
-        // -- recovery-mode state (unused when recovery is off) -----
-        RdmaOp op = RdmaOp::Read;
-        Addr off = 0;
-        std::uint64_t len = 0;
-        std::vector<std::uint8_t> data; // write payload kept for retry
         EventId retryEv = 0;
         std::uint32_t attempts = 0;
-        /** Causal flow id captured at read()/write() time. */
-        std::uint64_t flowId = 0;
         /** When the current attempt went on the wire. */
         Tick issued = 0;
     };

@@ -82,25 +82,13 @@ class DisaggTest : public ::testing::Test
             "client", cluster->node(1).fpgaEventq(), cluster->network(),
             cluster->portOf(1), *server);
         // Plain reads and writes are RDMA into the same FPGA DRAM.
-        dram = std::make_unique<net::DirectDramPath>(
-            cluster->node(0).fpgaMem());
-        net::RdmaTarget::Config tcfg;
-        tcfg.port = cluster->portOf(0, 1);
-        tcfg.request_proc_ns = scfg.request_proc_ns;
-        target = std::make_unique<net::RdmaTarget>(
-            "server.rdma", cluster->node(0).fpgaEventq(),
-            cluster->network(), *dram, tcfg);
-        rdma = std::make_unique<net::RdmaInitiator>(
-            "client.rdma", cluster->node(1).fpgaEventq(),
-            cluster->network(), cluster->portOf(1, 1), tcfg.port);
+        rdma = &client->rdma();
     }
 
     std::unique_ptr<EnzianCluster> cluster;
     std::unique_ptr<DisaggMemoryServer> server;
     std::unique_ptr<DisaggMemoryClient> client;
-    std::unique_ptr<net::DirectDramPath> dram;
-    std::unique_ptr<net::RdmaTarget> target;
-    std::unique_ptr<net::RdmaInitiator> rdma;
+    net::RdmaInitiator *rdma = nullptr;
 };
 
 TEST_F(DisaggTest, RemoteReadWriteRoundTrip)

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 
 #include "accel/kv_store.hh"
@@ -599,25 +600,9 @@ TEST(ClusterRegression, TwoDisaggServersInOneProcess)
         DisaggMemoryClient cliB("cliB", rack.node(3).fpgaEventq(),
                                 rack.network(), rack.portOf(3), srvB);
 
-        // Plain reads and writes: RDMA on each node's second port.
-        net::DirectDramPath dramA(rack.node(0).fpgaMem());
-        net::DirectDramPath dramB(rack.node(1).fpgaMem());
-        net::RdmaTarget::Config ta;
-        ta.port = rack.portOf(0, 1);
-        ta.request_proc_ns = sa.request_proc_ns;
-        net::RdmaTarget tgtA("srvA.rdma", rack.node(0).fpgaEventq(),
-                             rack.network(), dramA, ta);
-        net::RdmaTarget::Config tb;
-        tb.port = rack.portOf(1, 1);
-        tb.request_proc_ns = sb.request_proc_ns;
-        net::RdmaTarget tgtB("srvB.rdma", rack.node(1).fpgaEventq(),
-                             rack.network(), dramB, tb);
-        net::RdmaInitiator rdmaA("cliA.rdma", rack.node(2).fpgaEventq(),
-                                 rack.network(), rack.portOf(2, 1),
-                                 ta.port);
-        net::RdmaInitiator rdmaB("cliB.rdma", rack.node(3).fpgaEventq(),
-                                 rack.network(), rack.portOf(3, 1),
-                                 tb.port);
+        // Plain reads and writes: RDMA to the same targets.
+        net::RdmaInitiator &rdmaA = cliA.rdma();
+        net::RdmaInitiator &rdmaB = cliB.rdma();
 
         // Interleaved writes to the SAME offsets with different
         // payloads. Each client completes in its own node's domain, so
@@ -802,6 +787,135 @@ TEST(ClusterRegression, BridgedTrafficSurvivesRdmaLoss)
         EXPECT_EQ(t1.values[i], patternFor(i)) << i;
         EXPECT_EQ(t1.values[8 + i], patternFor(100 + i)) << i;
     }
+    EXPECT_EQ(t1.ticks, t4.ticks);
+    EXPECT_EQ(t1.values, t4.values);
+    EXPECT_EQ(t1.registryJson, t4.registryJson);
+}
+
+/** Ticks, values and registry of KV and pushdown over a lossy RDMA. */
+RackRun
+lossyKvAndScanWorkload(std::uint32_t threads)
+{
+    constexpr std::uint64_t kOps = 24;
+    constexpr std::uint32_t kRow = 16;
+    constexpr std::uint64_t kRows = 512;
+    EnzianCluster::Config cfg;
+    cfg.nodes = 2;
+    cfg.threads = threads;
+    EnzianCluster rack(cfg);
+    auto &mem = rack.node(0);
+    auto &compute = rack.node(1);
+
+    // The KV store and the disaggregated memory both live on node 0,
+    // each behind its own RDMA target; their clients are on node 1.
+    // The store's table sits above the exported region.
+    accel::KvStoreServer::Config kcfg;
+    kcfg.port = rack.portOf(0, 0);
+    kcfg.table_base = 1ull << 20;
+    kcfg.slots = 1024;
+    accel::KvStoreServer kvs("lossy.kvs", mem.fpgaEventq(), rack.network(),
+                             mem.fpgaMem(), kcfg);
+    accel::KvClient kvc("lossy.kvc", compute.fpgaEventq(), rack.network(),
+                        rack.portOf(1, 0), kcfg.port);
+    DisaggMemoryServer::Config scfg;
+    scfg.port = rack.portOf(0, 1);
+    scfg.region_size = 1ull << 20;
+    DisaggMemoryServer dms("lossy.dms", mem.fpgaEventq(), rack.network(),
+                           mem.fpgaMem(), scfg);
+    DisaggMemoryClient dmc("lossy.dmc", compute.fpgaEventq(),
+                           rack.network(), rack.portOf(1, 1), dms);
+
+    // Requests are lost on node 1's FPGA domain and responses on node
+    // 0's, each drawing from a stream only its own object touches.
+    Rng kvReqRng(3), kvRspRng(5), scanReqRng(7), scanRspRng(11);
+    kvc.rdma().enableRecovery(20.0);
+    kvc.rdma().setFaults(&kvReqRng, 0.3);
+    kvs.rdma().setFaults(&kvRspRng, 0.3);
+    dmc.rdma().enableRecovery(20.0);
+    dmc.rdma().setFaults(&scanReqRng, 0.3);
+    dms.rdma().setFaults(&scanRspRng, 0.3);
+
+    // Put-then-get rounds on distinct keys, checked against a
+    // reference map. Every completion runs in node 1's FPGA domain.
+    RackRun out;
+    std::map<std::uint64_t, std::vector<std::uint8_t>> ref;
+    std::function<void(std::uint64_t)> step = [&](std::uint64_t i) {
+        if (i == kOps)
+            return;
+        const std::uint64_t key = 500 + i;
+        ref[key] = kvValue(0, static_cast<std::uint32_t>(i));
+        const auto &value = ref[key];
+        kvc.put(key, value.data(), static_cast<std::uint32_t>(value.size()),
+                [&, i, key](Tick t, bool ok) {
+                    EXPECT_TRUE(ok) << key;
+                    out.ticks.push_back(t);
+                    kvc.get(key, [&, i, key](Tick t2, bool found,
+                                             std::vector<std::uint8_t> v) {
+                        EXPECT_TRUE(found) << key;
+                        EXPECT_EQ(v, ref[key]) << key;
+                        out.ticks.push_back(t2);
+                        out.values.push_back(std::move(v));
+                        step(i + 1);
+                    });
+                });
+    };
+    step(0);
+    rack.run();
+
+    // One pushdown scan over a table of {key, value} rows.
+    std::vector<std::uint8_t> table(kRows * kRow);
+    for (std::uint64_t k = 0; k < kRows; ++k) {
+        std::memcpy(&table[k * kRow], &k, 8);
+        const std::uint64_t v = ~k;
+        std::memcpy(&table[k * kRow + 8], &v, 8);
+    }
+    mem.fpgaMem().store().write(0x4000, table.data(), table.size());
+    Predicate pred;
+    pred.op = FilterOp::Lt;
+    pred.operand = kRows / 8;
+    dmc.scanFilter(0x4000, kRow, kRows, pred,
+                   [&](Tick t, std::vector<std::uint8_t> rows,
+                       std::uint64_t) {
+                       out.ticks.push_back(t);
+                       out.values.push_back(std::move(rows));
+                   });
+    rack.run();
+    EXPECT_EQ(out.values.size(), kOps + 1);
+    if (out.values.size() == kOps + 1) {
+        EXPECT_EQ(out.values.back(),
+                  std::vector<std::uint8_t>(
+                      table.begin(), table.begin() + kRows / 8 * kRow));
+    }
+
+    // The fault streams bit and recovery ran, for the scan too.
+    EXPECT_GT(kvc.rdma().requestsDropped(), 0u);
+    EXPECT_GT(kvs.rdma().responsesDropped(), 0u);
+    EXPECT_GT(kvc.rdma().retriesSent(), 0u);
+    EXPECT_GT(dmc.rdma().requestsDropped() + dms.rdma().responsesDropped(),
+              0u);
+    EXPECT_GT(dmc.rdma().retriesSent(), 0u);
+    out.registryJson = registryJson();
+
+    // The final table, read in the fabric, holds exactly the puts.
+    for (const auto &[key, value] : ref) {
+        const auto got = kvs.get(key);
+        EXPECT_TRUE(got.has_value()) << key;
+        if (got) {
+            EXPECT_EQ(*got, value) << key;
+        }
+    }
+    EXPECT_EQ(kvs.occupied(), ref.size());
+    return out;
+}
+
+TEST(ClusterRegression, KvAndPushdownSurviveRdmaLoss)
+{
+    // KV requests and the pushdown scan are two-sided RDMA requests,
+    // so RDMA's timeout recovery carries them through request and
+    // response loss, with the same simulation at any thread count.
+    const auto t1 = lossyKvAndScanWorkload(1);
+    const auto t4 = lossyKvAndScanWorkload(4);
+    ASSERT_EQ(t1.ticks.size(), 2u * 24u + 1u);
     EXPECT_EQ(t1.ticks, t4.ticks);
     EXPECT_EQ(t1.values, t4.values);
     EXPECT_EQ(t1.registryJson, t4.registryJson);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "net/rdma_engine.hh"
@@ -61,6 +62,77 @@ TEST(RdmaDram, ReadWriteRoundTrip)
     ASSERT_TRUE(read_done);
     EXPECT_EQ(back, data);
     EXPECT_EQ(target.requestsServed(), 2u);
+}
+
+TEST(RdmaCall, HandlerStatusAndReplyRoundTrip)
+{
+    // A two-sided request carries its header arguments and payload to
+    // the target's handler; the handler's status and reply come back
+    // in the completion once its ready tick has passed.
+    EventQueue eq;
+    Switch sw("sw", eq, 2, switchConfig());
+    mem::MemoryController mc("fpga.mem", eq, 64 << 20, 4,
+                             platform::params::fpgaDramConfig());
+    DirectDramPath path(mc);
+    RdmaTarget target("target", eq, sw, path, RdmaTarget::Config{});
+    RdmaInitiator init("init", eq, sw, 1, 0);
+
+    constexpr RdmaOp kReverse{40};
+    const Tick ready = units::us(5.0);
+    target.setHandler(kReverse, [&](RdmaTarget::WireRequest &req) {
+        std::reverse(req.data.begin(), req.data.end());
+        req.data.push_back(static_cast<std::uint8_t>(req.key));
+        req.ok = req.key % 2 == 1;
+        return ready;
+    });
+
+    struct Result
+    {
+        Tick at = 0;
+        bool ok = false;
+        std::vector<std::uint8_t> reply;
+    };
+    std::vector<Result> results(2);
+    for (std::uint64_t key : {7u, 8u}) {
+        RdmaTarget::WireRequest req;
+        req.op = kReverse;
+        req.key = key;
+        req.data = {1, 2, 3};
+        init.call(std::move(req),
+                  [&results, key](Tick t, bool ok,
+                                  std::vector<std::uint8_t> reply) {
+                      results[key - 7] = {t, ok, std::move(reply)};
+                  });
+    }
+    eq.run();
+
+    EXPECT_TRUE(results[0].ok);
+    EXPECT_FALSE(results[1].ok);
+    EXPECT_EQ(results[0].reply, (std::vector<std::uint8_t>{3, 2, 1, 7}));
+    EXPECT_EQ(results[1].reply, (std::vector<std::uint8_t>{3, 2, 1, 8}));
+    for (const auto &r : results)
+        EXPECT_GT(r.at, ready);
+    EXPECT_EQ(target.requestsServed(), 2u);
+}
+
+TEST(RdmaCallDeath, UnregisteredOpIsFatal)
+{
+    EventQueue eq;
+    Switch sw("sw", eq, 2, switchConfig());
+    mem::MemoryController mc("fpga.mem", eq, 64 << 20, 4,
+                             platform::params::fpgaDramConfig());
+    DirectDramPath path(mc);
+    RdmaTarget target("target", eq, sw, path, RdmaTarget::Config{});
+    RdmaInitiator init("init", eq, sw, 1, 0);
+    RdmaTarget::WireRequest req;
+    req.op = RdmaOp{40};
+    EXPECT_DEATH(
+        {
+            init.call(std::move(req),
+                      [](Tick, bool, std::vector<std::uint8_t>) {});
+            eq.run();
+        },
+        "no handler");
 }
 
 TEST(RdmaEciHost, CoherentWithCpuL2)
