@@ -25,25 +25,16 @@
 #include "obs/json.hh"
 #include "platform/enzian_machine.hh"
 #include "platform/platform_factory.hh"
+#include "sim/domain_scheduler.hh"
 
 namespace enzian::bench {
 
 /**
- * Thread count requested via ENZIAN_THREADS (0 = unset = the classic
- * single-queue machine, or one thread for a rack). Every bench binary
- * honors it, machines through makeBenchMachine(), and BenchReport
- * stamps it into the metrics JSON so a scaling sweep's artifacts are
- * self-describing.
+ * ENZIAN_THREADS (0 = unset = the classic single-queue machine, or one
+ * thread for a rack). Every bench binary honors it, machines through
+ * makeBenchMachine(), and BenchReport stamps it into the metrics JSON.
  */
-inline std::uint32_t
-envThreads()
-{
-    const char *s = std::getenv("ENZIAN_THREADS");
-    if (!s || !*s)
-        return 0;
-    const long v = std::strtol(s, nullptr, 10);
-    return v > 0 ? static_cast<std::uint32_t>(v) : 0;
-}
+using sim::envThreads;
 
 /**
  * Coherence protocol requested via ENZIAN_PROTOCOL (empty = unset =

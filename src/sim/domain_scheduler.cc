@@ -41,7 +41,9 @@
 #include "sim/domain_scheduler.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <string_view>
 
 #include "base/logging.hh"
 #include "obs/registry.hh"
@@ -423,6 +425,21 @@ std::uint64_t
 DomainScheduler::runUntil(Tick limit)
 {
     return runLoop(limit, true);
+}
+
+std::uint32_t
+envThreads(const char *value)
+{
+    if (!value || !*value)
+        return 0;
+    const std::string_view s(value);
+    std::uint32_t threads = 0;
+    const auto [end, ec] =
+        std::from_chars(s.data(), s.data() + s.size(), threads);
+    if (ec != std::errc() || end != s.data() + s.size() || threads == 0)
+        fatal("ENZIAN_THREADS='%s' is not a positive decimal thread "
+              "count", value);
+    return threads;
 }
 
 } // namespace enzian::sim

@@ -58,6 +58,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -282,6 +283,14 @@ class DomainScheduler
     /** Epoch length in multiples of the base lookahead. */
     Histogram epochLen_{0.0, 64.0, 64};
 };
+
+/**
+ * The thread count in ENZIAN_THREADS' @p value: 0 when it is unset or
+ * empty (the caller applies its own default), else a positive
+ * decimal; anything else is fatal. Every bench and tool reads the
+ * variable through this.
+ */
+std::uint32_t envThreads(const char *value = std::getenv("ENZIAN_THREADS"));
 
 } // namespace enzian::sim
 

@@ -9,12 +9,14 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "base/rng.hh"
 #include "sim/clock_domain.hh"
 #include "sim/delay_line.hh"
+#include "sim/domain_scheduler.hh"
 #include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
 
@@ -621,6 +623,26 @@ TEST(ClockDomainDeathTest, ZeroFrequencyFatal)
 {
     EXPECT_EXIT(ClockDomain("bad", 0.0),
                 ::testing::ExitedWithCode(1), "frequency");
+}
+
+// The ENZIAN_THREADS parser, on strings only: no test starts a
+// scheduler with whatever count a bad string would have produced.
+TEST(EnvThreads, UnsetOrEmptyIsZeroAndPositiveDecimalsParse)
+{
+    EXPECT_EQ(sim::envThreads(nullptr), 0u);
+    EXPECT_EQ(sim::envThreads(""), 0u);
+    EXPECT_EQ(sim::envThreads("1"), 1u);
+    EXPECT_EQ(sim::envThreads("4"), 4u);
+    EXPECT_EQ(sim::envThreads("16"), 16u);
+}
+
+TEST(EnvThreadsDeathTest, AnythingElseIsFatal)
+{
+    for (const char *bad : {"-1", "abc", "3x", "0", " 4", "99999999999"})
+        EXPECT_EXIT(sim::envThreads(bad),
+                    ::testing::ExitedWithCode(1),
+                    std::string("ENZIAN_THREADS='") + bad + "'")
+            << bad;
 }
 
 TEST(SimObject, NameAndStats)

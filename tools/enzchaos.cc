@@ -37,6 +37,7 @@
 
 #include "fault/chaos_scenario.hh"
 #include "fault/fault_plan.hh"
+#include "sim/domain_scheduler.hh"
 
 using namespace enzian;
 
@@ -80,11 +81,7 @@ main(int argc, char **argv)
     bool dump_plan = false;
     bool want_json = false;
     std::string json_path;
-    std::uint32_t threads = 1;
-    if (const char *env = std::getenv("ENZIAN_THREADS");
-        env && *env)
-        threads = static_cast<std::uint32_t>(
-            std::strtoul(env, nullptr, 10));
+    std::uint32_t threads = sim::envThreads(); // 0 runs as 1
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];

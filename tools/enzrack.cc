@@ -159,9 +159,7 @@ main(int argc, char **argv)
 {
     std::string topo_file;
     std::uint32_t nodes = 4, ports = 4, ops = 4;
-    std::uint32_t threads = 0;
-    if (const char *s = std::getenv("ENZIAN_THREADS"); s && *s)
-        threads = parseU32(s, "ENZIAN_THREADS");
+    std::uint32_t threads = sim::envThreads();
     bool describe = false, check = false, json = false;
     bool adaptive = false;
     std::string json_file;
