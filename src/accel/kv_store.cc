@@ -62,6 +62,8 @@ KvStoreServer::KvStoreServer(std::string name, EventQueue &eq,
         mem_.store().size())
         fatal("KV store '%s': table does not fit in FPGA DRAM",
               SimObject::name().c_str());
+    mem_.reserve(cfg_.table_base, cfg_.slots * kvSlotBytes,
+                 SimObject::name());
     // Each handler replies once the DRAM probes of its operation
     // complete.
     using Req = net::RdmaTarget::WireRequest;

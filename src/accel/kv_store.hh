@@ -46,7 +46,10 @@ class KvStoreServer : public SimObject
     {
         /** Switch port of the store's RDMA target. */
         std::uint32_t port = 0;
-        /** Table placement in FPGA DRAM. */
+        /**
+         * Table placement in FPGA DRAM; the table is reserved there
+         * at construction (mem::MemoryController::reserve).
+         */
         Addr table_base = 0;
         /** Number of slots (power of two). */
         std::uint64_t slots = 1ull << 20;

@@ -58,6 +58,7 @@ DisaggMemoryServer::DisaggMemoryServer(std::string name, EventQueue &eq,
       rdma_(name + ".rdma", eq, sw, path_,
             net::RdmaTarget::Config{cfg.port, cfg.request_proc_ns})
 {
+    mem_.reserve(0, cfg_.region_size, SimObject::name());
     rdma_.setHandler(opScan, [this](net::RdmaTarget::WireRequest &req) {
         return scan(req);
     });

@@ -72,7 +72,8 @@ class DisaggMemoryServer : public SimObject
         std::uint32_t port = 0;
         /**
          * Bytes of FPGA DRAM exported from offset 0, the same offsets
-         * an RDMA target over DirectDramPath addresses.
+         * an RDMA target over DirectDramPath addresses. Reserved in
+         * the controller at construction.
          */
         std::uint64_t region_size = 64ull << 20;
         /** Request parsing cost (ns). */

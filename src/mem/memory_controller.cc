@@ -7,6 +7,8 @@
 
 #include <algorithm>
 
+#include "base/logging.hh"
+
 namespace enzian::mem {
 
 MemoryController::MemoryController(std::string name, EventQueue &eq,
@@ -18,6 +20,24 @@ MemoryController::MemoryController(std::string name, EventQueue &eq,
 {
     stats().addCounter("strided_ops", &stridedOps_);
     stats().addCounter("strided_rows", &stridedRows_);
+}
+
+void
+MemoryController::reserve(Addr base, std::uint64_t bytes,
+                          std::string owner)
+{
+    for (const Reservation &r : reserved_) {
+        if (base < r.base + r.bytes && r.base < base + bytes)
+            fatal("memory '%s': '%s' [%#llx, %#llx) overlaps '%s' "
+                  "[%#llx, %#llx)",
+                  name().c_str(), owner.c_str(),
+                  static_cast<unsigned long long>(base),
+                  static_cast<unsigned long long>(base + bytes),
+                  r.owner.c_str(),
+                  static_cast<unsigned long long>(r.base),
+                  static_cast<unsigned long long>(r.base + r.bytes));
+    }
+    reserved_.push_back({base, bytes, std::move(owner)});
 }
 
 AccessResult

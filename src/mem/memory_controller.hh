@@ -9,6 +9,8 @@
 #define ENZIAN_MEM_MEMORY_CONTROLLER_HH
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "mem/address_map.hh"
 #include "mem/backing_store.hh"
@@ -76,9 +78,25 @@ class MemoryController : public SimObject
 
     DramSystem &dram() { return dram_; }
 
+    /**
+     * Claim [base, base + bytes) for @p owner, a service that keeps
+     * its own data there. Fatal if the range overlaps an earlier
+     * claim, naming both owners and both ranges. Claims last as long
+     * as the controller; accesses do not check them.
+     */
+    void reserve(Addr base, std::uint64_t bytes, std::string owner);
+
   private:
+    struct Reservation
+    {
+        Addr base;
+        std::uint64_t bytes;
+        std::string owner;
+    };
+
     BackingStore store_;
     DramSystem dram_;
+    std::vector<Reservation> reserved_;
     Counter stridedOps_;
     Counter stridedRows_;
 };

@@ -937,6 +937,31 @@ TEST(ClusterRegressionDeath, FrameForUnknownPortIsFatal)
         "unknown port");
 }
 
+TEST(ClusterRegressionDeath, KvTableOverDisaggRegionIsFatal)
+{
+    // The KV table (from FPGA DRAM offset 0 by default) and the
+    // exported region (always from offset 0) on one node would
+    // overwrite each other's bytes: the second server dies naming
+    // both.
+    EnzianCluster::Config cfg;
+    cfg.nodes = 2;
+    EnzianCluster rack(cfg);
+    auto &node = rack.node(0);
+    accel::KvStoreServer::Config kcfg;
+    kcfg.port = rack.portOf(0, 0);
+    kcfg.slots = 1024;
+    accel::KvStoreServer kvs("kvs", node.fpgaEventq(), rack.network(),
+                             node.fpgaMem(), kcfg);
+    DisaggMemoryServer::Config scfg;
+    scfg.port = rack.portOf(0, 1);
+    scfg.region_size = 1ull << 20;
+    EXPECT_EXIT(DisaggMemoryServer("dms", node.fpgaEventq(),
+                                   rack.network(), node.fpgaMem(), scfg),
+                ::testing::ExitedWithCode(1),
+                "'dms' \\[0, 0x100000\\) overlaps 'kvs' "
+                "\\[0, 0x10000\\)");
+}
+
 TEST(ClusterRegressionDeath, OutOfBoundsPredicateIsFatal)
 {
     // The pushdown filter reads 8 bytes at column_offset; an offset

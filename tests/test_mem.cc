@@ -150,6 +150,29 @@ TEST(BackingStoreDeathTest, OutOfRangePanics)
     EXPECT_DEATH(s.write(4090, &b, 100), "beyond");
 }
 
+TEST(MemoryController, DisjointReservationsCoexist)
+{
+    EventQueue eq;
+    MemoryController mc("mc", eq, 1ull << 20, 1, DramChannel::Config{});
+    mc.reserve(0, 4096, "a");
+    mc.reserve(4096, 4096, "b"); // adjacent, not overlapping
+    mc.reserve(1ull << 19, 0, "empty");
+    mc.reserve(1ull << 19, 64, "c");
+}
+
+TEST(MemoryControllerDeathTest, OverlappingReservationIsFatal)
+{
+    EventQueue eq;
+    MemoryController mc("mc", eq, 1ull << 20, 1, DramChannel::Config{});
+    mc.reserve(0x1000, 0x1000, "first");
+    EXPECT_EXIT(mc.reserve(0x1fc0, 0x80, "second"),
+                ::testing::ExitedWithCode(1),
+                "memory 'mc': 'second' \\[0x1fc0, 0x2040\\) overlaps "
+                "'first' \\[0x1000, 0x2000\\)");
+    EXPECT_EXIT(mc.reserve(0, 0x10000, "outer"),
+                ::testing::ExitedWithCode(1), "'outer'.*'first'");
+}
+
 TEST(AddressMap, ClassifiesRegions)
 {
     AddressMap m(1ull << 30, 1ull << 30);
