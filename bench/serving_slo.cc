@@ -43,9 +43,7 @@ main()
     for (const Row &row : rows) {
         load::SweepConfig cfg;
         cfg.testbed.service = row.service;
-        // Only the GBDT testbed is domain-safe (see TestbedConfig).
-        if (row.service == load::ServiceKind::Gbdt)
-            cfg.testbed.threads = envThreads();
+        cfg.testbed.threads = envThreads();
         cfg.duration = units::ms(20.0);
         cfg.window = units::ms(5.0);
         cfg.slo_latency_us = row.slo_us;

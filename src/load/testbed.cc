@@ -48,25 +48,21 @@ constexpr std::uint64_t rdmaRegionBytes = 64ull << 20;
 
 ServingTestbed::ServingTestbed(const TestbedConfig &cfg_in) : cfg_(cfg_in)
 {
-    if (cfg_.threads > 0 && cfg_.service != ServiceKind::Gbdt) {
-        warn("serving testbed: %s service is not domain-safe; "
-             "falling back to the single-queue machine",
-             toString(cfg_.service));
-        cfg_.threads = 0;
-    }
-
     platform::EnzianMachine::Config mc =
         platform::servingMachineConfig();
     mc.protocol = cfg_.protocol;
     mc.threads = cfg_.threads;
     m_ = std::make_unique<platform::EnzianMachine>(mc);
-    EventQueue &eq = m_->eventq();
+    // Every service lives in the FPGA timing domain, next to the GBDT
+    // engine, the FPGA DRAM and remote agent the RDMA paths use, and
+    // the FPGA TCP stack.
+    EventQueue &eq = m_->fpgaEventq();
 
     // The injector must exist before the service connects: TCP and
     // RDMA recovery are switched on at attach time.
     if (cfg_.plan) {
         injector_ = std::make_unique<fault::FaultInjector>(
-            "serving.fault", eq, *cfg_.plan);
+            "serving.fault", m_->eventq(), *cfg_.plan);
         injector_->attachEci(m_->fabric(), m_->cpuHome(),
                              m_->fpgaHome(), m_->cpuRemote(),
                              m_->fpgaRemote());
@@ -159,8 +155,6 @@ ServingTestbed::estimatedCapacityRps()
                                         net::rdmaHeaderBytes);
       }
       case ServiceKind::Tcp: {
-        if (measuredCapacity_ > 0.0)
-            return measuredCapacity_;
         // Per-request cost on each stack: tx its direction plus rx
         // the other; the slower stack binds the echo rate.
         auto stack_secs = [&](const net::TcpStack::Config &c) {
@@ -178,8 +172,7 @@ ServingTestbed::estimatedCapacityRps()
             tcpClient_->config().shared_pipeline
                 ? client
                 : client / static_cast<double>(cfg_.tcp_flows);
-        measuredCapacity_ = 1.0 / std::max(client_eff, server);
-        return measuredCapacity_;
+        return 1.0 / std::max(client_eff, server);
       }
     }
     return 0.0;
@@ -234,7 +227,7 @@ runSweep(const SweepConfig &cfg)
                     slo, lc);
         gen.start();
         bed.run();
-        slo.rollTo(bed.machine().now());
+        slo.rollTo(bed.eventq().now());
 
         SweepPoint p;
         p.offered_rps = rate;

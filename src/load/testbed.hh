@@ -43,8 +43,8 @@ struct TestbedConfig
     std::string protocol = "moesi";
     /**
      * Parallel domain mode thread count (0 = classic single queue).
-     * Only the GBDT service is domain-safe; other services warn and
-     * fall back to 0.
+     * Every service runs in the machine's FPGA timing domain, so the
+     * results are the same at any count.
      */
     std::uint32_t threads = 0;
     /** Seed for tuple pools and machine-level randomness. */
@@ -79,20 +79,19 @@ class ServingTestbed
 
     ServiceDriver &driver() { return *driver_; }
     platform::EnzianMachine &machine() { return *m_; }
-    EventQueue &eventq() { return m_->eventq(); }
+    /** The FPGA domain's queue, which every service runs on. */
+    EventQueue &eventq() { return m_->fpgaEventq(); }
     fault::FaultInjector *injector() { return injector_.get(); }
 
     /** Run the machine until all queued work drains. */
     void run() { m_->run(); }
 
     /**
-     * Service-rate estimate (requests/second) used to build sweep
-     * ladders: analytic for GBDT (batch service time), measured with
-     * one probe request for RDMA/TCP.
+     * Analytic service-rate estimate (requests/second) used to build
+     * sweep ladders: the batch service time for GBDT, the response
+     * wire for RDMA, the slower stack's per-request cost for TCP.
      */
     double estimatedCapacityRps();
-
-    const TestbedConfig &config() const { return cfg_; }
 
   private:
     TestbedConfig cfg_;
@@ -112,7 +111,6 @@ class ServingTestbed
     std::unique_ptr<net::TcpStack> tcpServer_;
 
     std::unique_ptr<ServiceDriver> driver_;
-    double measuredCapacity_ = 0.0;
 };
 
 /** Sweep parameters. */

@@ -113,8 +113,6 @@ class EnzianMachine
     EventQueue &fpgaEventq() { return *fpgaEqPtr_; }
     Tick now() const { return eqPtr_->now(); }
 
-    /** True when the machine runs as parallel timing domains. */
-    bool parallel() const { return schedPtr_ != nullptr; }
     /** The domain scheduler, or null in legacy mode. */
     sim::DomainScheduler *scheduler() { return schedPtr_; }
     /** The CPU timing domain, or null in legacy mode. */

@@ -118,6 +118,8 @@ struct RunOutcome
     /** The whole stats registry, exported while the testbed lives. */
     std::string registry;
     std::uint64_t injected = 0;
+    /** Did the machine run on a domain scheduler? */
+    bool scheduled = false;
 };
 
 RunOutcome
@@ -138,7 +140,7 @@ runService(TestbedConfig tbc, double rate_rps, double duration_ms,
     LoadGen gen("test.loadgen", bed.eventq(), bed.driver(), slo, lc);
     gen.start();
     bed.run();
-    slo.rollTo(bed.machine().now());
+    slo.rollTo(bed.eventq().now());
 
     RunOutcome out;
     out.offered = gen.offeredCount();
@@ -152,6 +154,7 @@ runService(TestbedConfig tbc, double rate_rps, double duration_ms,
     out.registry = js.str();
     if (bed.injector())
         out.injected = bed.injector()->injectedTotal();
+    out.scheduled = bed.machine().scheduler() != nullptr;
     return out;
 }
 
@@ -179,17 +182,43 @@ TEST(ServingTestbed, EciHostRdmaPathServes)
     EXPECT_GT(out.offered, 10u);
 }
 
+// Every service runs on the timing-domain machine at threads >= 1:
+// the SLO series equals the single-queue machine's at any thread
+// count, and the registry (which holds the scheduler's stats only in
+// domain mode) is the same at 1 and 4 threads.
 TEST(ServingTestbed, SloSeriesIsByteIdenticalAcrossThreadCounts)
 {
-    TestbedConfig tbc;
-    tbc.service = ServiceKind::Gbdt;
-    const RunOutcome t1 = runService(tbc, 30000.0, 10.0);
-    tbc.threads = 4;
-    const RunOutcome t4 = runService(tbc, 30000.0, 10.0);
-    EXPECT_GT(t1.offered, 100u);
-    EXPECT_EQ(t1.offered, t4.offered);
-    EXPECT_EQ(t1.completed, t4.completed);
-    EXPECT_EQ(t1.csv, t4.csv);
+    struct Case
+    {
+        ServiceKind service;
+        const char *rdma_path;
+    };
+    for (const Case c : {Case{ServiceKind::Gbdt, "dram"},
+                         Case{ServiceKind::Tcp, "dram"},
+                         Case{ServiceKind::Rdma, "dram"},
+                         Case{ServiceKind::Rdma, "eci-host"}}) {
+        TestbedConfig tbc;
+        tbc.service = c.service;
+        tbc.rdma_path = c.rdma_path;
+        SCOPED_TRACE(std::string(toString(c.service)) + " " +
+                     c.rdma_path);
+        const RunOutcome t0 = runService(tbc, 30000.0, 10.0);
+        tbc.threads = 1;
+        const RunOutcome t1 = runService(tbc, 30000.0, 10.0);
+        tbc.threads = 4;
+        const RunOutcome t4 = runService(tbc, 30000.0, 10.0);
+        EXPECT_GT(t0.offered, 100u);
+        EXPECT_FALSE(t0.scheduled);
+        EXPECT_TRUE(t1.scheduled);
+        EXPECT_TRUE(t4.scheduled);
+        EXPECT_EQ(t0.completed, t0.offered);
+        for (const RunOutcome *t : {&t1, &t4}) {
+            EXPECT_EQ(t0.offered, t->offered);
+            EXPECT_EQ(t0.completed, t->completed);
+            EXPECT_EQ(t0.csv, t->csv);
+        }
+        EXPECT_EQ(t1.registry, t4.registry);
+    }
 }
 
 // ------------------------------------------------------------- sweeps

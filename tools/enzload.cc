@@ -23,8 +23,9 @@
  *
  * Default is an auto sweep (geometric ladder from 10% to 150% of the
  * testbed's estimated capacity). --rate runs one operating point
- * instead. ENZIAN_THREADS is honored like --threads (GBDT only; the
- * other services fall back to the single-queue machine).
+ * instead. ENZIAN_THREADS is honored like --threads; every service
+ * runs in the machine's FPGA timing domain, so the output is the same
+ * at any thread count.
  *
  * Exit status: 0 if a knee was found (or --rate met the SLO), 1 if no
  * operating point met the SLO, 2 on usage errors.
@@ -44,6 +45,7 @@
 #include "obs/json.hh"
 #include "obs/slo.hh"
 #include "obs/span_tracer.hh"
+#include "sim/domain_scheduler.hh"
 
 using namespace enzian;
 
@@ -197,9 +199,7 @@ main(int argc, char **argv)
     std::string json_path, csv_path, trace_path;
     std::uint64_t trace_requests = 0;
 
-    if (const char *env = std::getenv("ENZIAN_THREADS"); env && *env)
-        cfg.testbed.threads = static_cast<std::uint32_t>(
-            std::strtoul(env, nullptr, 10));
+    cfg.testbed.threads = sim::envThreads();
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];

@@ -131,17 +131,14 @@ main(int argc, char **argv)
     cfg.cpu_dram_bytes = 256ull << 20;
     cfg.fpga_dram_bytes = 256ull << 20;
     cfg.bitstream = "coyote-shell"; // demo schedules vFPGA apps
-    if (const char *env = std::getenv("ENZIAN_THREADS");
-        env && *env) {
-        const auto threads = static_cast<std::uint32_t>(
-            std::strtoul(env, nullptr, 10));
-        if (threads > 0 && csv) {
+    if (const std::uint32_t threads = sim::envThreads(); threads > 0) {
+        if (csv) {
             std::fprintf(stderr,
                          "enzstat: --csv samples the registry "
                          "mid-run; ignoring ENZIAN_THREADS=%u and "
                          "using the single-queue machine\n",
                          threads);
-        } else if (threads > 0) {
+        } else {
             cfg.threads = threads;
         }
     }
@@ -193,7 +190,9 @@ main(int argc, char **argv)
         // A second, independent run: Poisson arrivals into the GBDT
         // serving testbed at half its estimated capacity, reported as
         // tumbling-window percentile rows.
-        load::ServingTestbed bed(load::TestbedConfig{});
+        load::TestbedConfig tbc;
+        tbc.threads = cfg.threads;
+        load::ServingTestbed bed(tbc);
         obs::SloRecorder::Config sc;
         sc.window = units::ms(5.0);
         obs::SloRecorder rec(sc);
@@ -204,7 +203,7 @@ main(int argc, char **argv)
                           bed.driver(), rec, lc);
         gen.start();
         bed.run();
-        rec.rollTo(bed.machine().now());
+        rec.rollTo(bed.eventq().now());
         writeTo(slo_path, [&](std::ostream &os) {
             rec.writeCsv(os);
         });
